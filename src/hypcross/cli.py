@@ -6,8 +6,7 @@ tab-separated table instead.  Exit codes: 0 success, 1 failed checks,
 2 usage errors.
 
 An optional key=value config file (--config FILE) supplies flag defaults with
-the same names; explicit flags win.  The environment variable HYPCROSS_THREADS
-caps worker threads for spectrum runs (default: available parallelism).
+the same names; explicit flags win.
 """
 
 from __future__ import annotations

@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import tempfile
 from dataclasses import dataclass
 
 from .halfplane import Isometry
 from .selfint import self_intersection_count, tracer_count
 from .words import enumerate_classes, is_primitive, word_key, word_trace
 
-THREADS_ENV = "HYPCROSS_THREADS"
+# version of the cache file layout; part of the header key
+CACHE_FORMAT = 2
 
 
 class MethodDisagreement(RuntimeError):
@@ -65,13 +66,6 @@ def _count_class(w: str, cutoff: int | None, tol: float) -> tuple[int, str]:
     return tracer_count(w, tol), "tracer"
 
 
-def _default_threads() -> int:
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
 def spectrum(
     max_len: int,
     length_cap: float,
@@ -79,7 +73,6 @@ def spectrum(
     cutoff: int | None = None,
     tol: float = 1e-6,
     cache_path: str | None = None,
-    threads: int | None = None,
 ) -> list[SpectrumEntry]:
     """All hyperbolic classes of word length <= max_len and geodesic length
     <= length_cap, sorted by (length, word), each with its self-intersection
@@ -87,35 +80,23 @@ def spectrum(
     entries themselves are not filtered by it."""
     if max_len > 12:
         raise ValueError(f"max_len must be <= 12, got {max_len}")
-    if threads is None:
-        threads = _default_threads()
 
-    cached = _read_cache(cache_path, max_len, cutoff, tol) if cache_path else None
+    key = _cache_key(max_len, length_cap, cutoff, tol)
+    cached = _read_cache(cache_path, key) if cache_path else None
     if cached is not None:
         return cached
 
     entries: list[SpectrumEntry] = []
-    words = []
     for w in enumerate_classes(max_len):
         tr = word_trace(w)
         length = 2.0 * math.acosh(abs(tr) / 2.0)
         if length <= length_cap:
-            words.append((w, tr, length))
-
-    def build(item) -> SpectrumEntry:
-        w, tr, length = item
-        count, method = _count_class(w, cutoff, tol)
-        return SpectrumEntry(w, float(tr), length, count, method)
-
-    if threads > 1 and len(words) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            entries = list(pool.map(build, words))
-    else:
-        entries = [build(item) for item in words]
+            count, method = _count_class(w, cutoff, tol)
+            entries.append(SpectrumEntry(w, float(tr), length, count, method))
 
     entries.sort(key=SpectrumEntry.sort_key)
     if cache_path:
-        _write_cache(cache_path, max_len, cutoff, tol, entries)
+        _write_cache(cache_path, key, entries)
     return entries
 
 
@@ -129,23 +110,35 @@ def min_witness(entries: list[SpectrumEntry], k_min: int) -> SpectrumEntry | Non
 
 # ------------------------------------------------------------------ cache
 
-def _cache_key(max_len: int, cutoff: int | None, tol: float) -> str:
-    return f"# max_len={max_len} cutoff={cutoff if cutoff is not None else 'default'} tol={tol!r}"
+def _cache_key(max_len: int, length_cap: float, cutoff: int | None, tol: float) -> str:
+    """Header line naming every input that changes the entries."""
+    return (
+        f"# max_len={max_len} length_cap={length_cap!r} "
+        f"cutoff={cutoff if cutoff is not None else 'default'} tol={tol!r} format={CACHE_FORMAT}"
+    )
 
 
-def _write_cache(path: str, max_len: int, cutoff: int | None, tol: float, entries: list[SpectrumEntry]) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(_cache_key(max_len, cutoff, tol) + "\n")
-        for e in entries:
-            fh.write(f"{e.word}\t{e.trace!r}\t{e.length!r}\t{e.self_intersections}\t{e.count_method}\n")
+def _write_cache(path: str, key: str, entries: list[SpectrumEntry]) -> None:
+    """Write to a temporary file beside ``path``, then rename it into place,
+    so a reader never sees a half-written cache."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="ascii") as fh:
+            fh.write(key + "\n")
+            for e in entries:
+                fh.write(f"{e.word}\t{e.trace!r}\t{e.length!r}\t{e.self_intersections}\t{e.count_method}\n")
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
-def _read_cache(path: str, max_len: int, cutoff: int | None, tol: float) -> list[SpectrumEntry] | None:
+def _read_cache(path: str, key: str) -> list[SpectrumEntry] | None:
     if not os.path.exists(path):
         return None
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().rstrip("\n")
-        if header != _cache_key(max_len, cutoff, tol):
+        if header != key:
             return None
         out = []
         for line in fh:

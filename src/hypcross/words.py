@@ -4,6 +4,15 @@ of the rank-2 free group realized as the holonomy of the three-cusp sphere.
 Words are plain strings.  The canonical representative of a conjugacy class
 (with inverses identified) is the least word, in the order a < b < A < B,
 among all cyclic rotations of the word and of its inverse.
+
+Class enumeration works on letter codes a, b, A, B -> "0", "1", "2", "3".
+Under these codes plain string order is the letter order above, and the
+inverse of a code is a fixed character translation, so the search compares
+and inverts words without building key tuples.  A canonical word is the
+least of its rotations, so every prefix of it is a prenecklace; the search
+extends prenecklaces only (the Fredricksen-Kessler-Maiorana recursion,
+restricted to reduced words) and never visits a prefix that no canonical
+word starts with.
 """
 
 from __future__ import annotations
@@ -106,25 +115,51 @@ def word_trace(w: str) -> int:
     return m[0] + m[3]
 
 
+# codes of a, b, A, B; their string order is the letter order a < b < A < B
+_CODES = "0123"
+_FROM_CODE = str.maketrans(_CODES, "abAB")
+_INVERSE_CODE = str.maketrans(_CODES, "2301")
+# _EXTEND[lo][last]: codes c >= lo that may follow `last` in a reduced word,
+# largest first, so that the stack pops the least extension first
+_EXTEND = {
+    lo: {last: tuple(c for c in reversed(_CODES) if c >= lo and c != last.translate(_INVERSE_CODE))
+         for last in _CODES}
+    for lo in _CODES
+}
+
+
 def enumerate_classes(max_len: int) -> list[str]:
     """All canonical conjugacy-class representatives of cyclically reduced
     words of length <= max_len, excluding the parabolic (cusp-power) classes,
     ordered by (length, word).  Every surviving class carries a closed
-    geodesic; on this surface |trace| is an integer >= 6 for all of them."""
+    geodesic; on this surface |trace| is an integer >= 6 for all of them.
+
+    Depth-first search over reduced prenecklaces in the letter codes (see
+    the module docstring), with an explicit stack of (prefix, period).  A
+    prefix w of period p extends by a code c >= w[-p] that does not cancel
+    its last letter; the period stays p when c == w[-p] and becomes
+    len(w) + 1 otherwise.  A prefix is the least of its rotations exactly
+    when its length is a multiple of its period; it is kept when it is also
+    cyclically reduced, no rotation of its inverse is smaller and its trace
+    is hyperbolic.  Codes are pushed largest first, so each length is
+    reached in increasing order and the per-length lists need no sort."""
     if not 1 <= max_len <= 14:
         raise ValueError(f"max_len must be in [1, 14], got {max_len}")
-    found: list[str] = []
-    stack = [ch for ch in LETTERS]
+    by_len: list[list[str]] = [[] for _ in range(max_len + 1)]
+    stack = [(c, 1) for c in reversed(_CODES)]
     while stack:
-        w = stack.pop()
-        if len(w) < max_len:
-            stack.extend(w + ch for ch in LETTERS if ch != INVERSE[w[-1]])
-        if w[0] == INVERSE[w[-1]] and len(w) > 1:
+        w, p = stack.pop()
+        n = len(w)
+        if n < max_len:
+            lo = w[n - p]
+            for c in _EXTEND[lo][w[-1]]:
+                stack.append((w + c, p if c == lo else n + 1))
+        if n % p or w[0] == w[-1].translate(_INVERSE_CODE):
             continue
-        if canonical_class(w) != w:
+        inv = w[::-1].translate(_INVERSE_CODE) * 2
+        if any(inv[i:i + n] < w for i in range(n)):
             continue
-        if abs(word_trace(w)) <= 2:
-            continue
-        found.append(w)
-    found.sort(key=word_key)
-    return found
+        word = w.translate(_FROM_CODE)
+        if abs(word_trace(word)) > 2:
+            by_len[n].append(word)
+    return [w for ws in by_len for w in ws]

@@ -84,10 +84,19 @@ def test_cache_key_mismatch_recomputes(tmp_path):
     assert path.read_text().splitlines()[0].startswith("# max_len=6 ")
 
 
-def test_threads_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("HYPCROSS_THREADS", "2")
-    entries = spectrum(5, 5.0, 1)
-    assert min_witness(entries, 1).word == "ab"
+def test_cache_key_covers_length_cap(tmp_path):
+    path = tmp_path / "spec.tsv"
+    assert len(spectrum(6, 5.0, 1, cache_path=str(path))) == 9
+    narrow = spectrum(6, 3.6, 1, cache_path=str(path))
+    assert narrow == spectrum(6, 3.6, 1)
+    assert len(narrow) == 3
+    assert path.read_text().splitlines()[0].startswith("# max_len=6 length_cap=3.6 ")
+
+
+def test_cache_write_leaves_no_temporary_file(tmp_path):
+    path = tmp_path / "spec.tsv"
+    spectrum(5, 5.0, 1, cache_path=str(path))
+    assert [p.name for p in tmp_path.iterdir()] == ["spec.tsv"]
 
 
 def test_max_len_guard():

@@ -1,8 +1,12 @@
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypcross.words import (
+    INVERSE,
+    LETTERS,
     canonical_class,
     cyclic_reduce,
     enumerate_classes,
@@ -13,6 +17,7 @@ from hypcross.words import (
     mirror_word,
     primitive_root,
     rotations,
+    word_key,
     word_matrix,
     word_trace,
 )
@@ -108,6 +113,42 @@ def test_enumerate_deterministic_and_sorted():
     a = enumerate_classes(6)
     assert a == enumerate_classes(6)
     assert all(len(a[i]) <= len(a[i + 1]) for i in range(len(a) - 1))
+
+
+def brute_force_classes(max_len):
+    """Walk every reduced word and keep the canonical, hyperbolic ones."""
+    found = []
+    stack = list(LETTERS)
+    while stack:
+        w = stack.pop()
+        if len(w) < max_len:
+            stack.extend(w + ch for ch in LETTERS if ch != INVERSE[w[-1]])
+        if len(w) > 1 and w[0] == INVERSE[w[-1]]:
+            continue
+        if canonical_class(w) == w and abs(word_trace(w)) > 2:
+            found.append(w)
+    return sorted(found, key=word_key)
+
+
+@pytest.mark.parametrize("max_len", range(1, 9))
+def test_enumerate_matches_brute_force(max_len):
+    assert enumerate_classes(max_len) == brute_force_classes(max_len)
+
+
+def test_enumerate_class_counts():
+    lengths = [len(w) for w in enumerate_classes(11)]
+    counts = [sum(1 for n in lengths if n <= k) for k in range(1, 12)]
+    assert counts == [0, 1, 5, 15, 39, 102, 258, 673, 1769, 4734, 12786]
+
+
+def test_enumerate_leaves_no_garbage_cycles():
+    gc.collect()
+    gc.disable()
+    try:
+        enumerate_classes(7)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_enumerate_bounds():
