@@ -14,34 +14,19 @@ import os
 import tempfile
 from dataclasses import dataclass
 
-from .halfplane import Isometry
 from .selfint import self_intersection_count, tracer_count
 from .words import enumerate_classes, is_primitive, word_key, word_trace
 
 # version of the cache file layout; part of the header key
 CACHE_FORMAT = 2
 
+# largest word length spectrum accepts; every hyperbolic class up to it has
+# |trace| >= 2 * (word length), checked class by class in tests/test_words.py
+MAX_WORD_LEN = 12
+
 
 class MethodDisagreement(RuntimeError):
     """The double-coset and tracer counts differ for the same class."""
-
-
-@dataclass(frozen=True)
-class SurfaceGroup:
-    """Holonomy of the three-cusp sphere: two parabolic translations whose
-    mixed product class is the third cusp."""
-
-    gen_a: Isometry
-    gen_b: Isometry
-    cusp_classes: tuple[str, str, str]
-
-
-def thrice_punctured_sphere() -> SurfaceGroup:
-    return SurfaceGroup(
-        Isometry(1.0, 2.0, 0.0, 1.0),
-        Isometry(1.0, 0.0, 2.0, 1.0),
-        ("a", "b", "aB"),
-    )
 
 
 @dataclass(frozen=True)
@@ -77,9 +62,16 @@ def spectrum(
     """All hyperbolic classes of word length <= max_len and geodesic length
     <= length_cap, sorted by (length, word), each with its self-intersection
     count.  k_min is the caller's threshold of interest (see min_witness);
-    entries themselves are not filtered by it."""
-    if max_len > 12:
-        raise ValueError(f"max_len must be <= 12, got {max_len}")
+    entries themselves are not filtered by it.
+
+    A class of word length n has |trace| >= 2n (checked over every class
+    through MAX_WORD_LEN, the guard below), so its length is at least
+    2*acosh(n) and only the word lengths with 2*acosh(n) <= length_cap are
+    enumerated (see reachable_word_length): word length 5 at the sharp bound
+    2*acosh(5).  The entries are those of a filter over every class through
+    max_len; max_len only bites when it is below that reachable length."""
+    if max_len > MAX_WORD_LEN:
+        raise ValueError(f"max_len must be <= {MAX_WORD_LEN}, got {max_len}")
 
     key = _cache_key(max_len, length_cap, cutoff, tol)
     cached = _read_cache(cache_path, key) if cache_path else None
@@ -87,7 +79,7 @@ def spectrum(
         return cached
 
     entries: list[SpectrumEntry] = []
-    for w in enumerate_classes(max_len):
+    for w in enumerate_classes(reachable_word_length(max_len, length_cap)):
         tr = word_trace(w)
         length = 2.0 * math.acosh(abs(tr) / 2.0)
         if length <= length_cap:
@@ -98,6 +90,20 @@ def spectrum(
     if cache_path:
         _write_cache(cache_path, key, entries)
     return entries
+
+
+def reachable_word_length(max_len: int, length_cap: float) -> int:
+    """Largest word length n <= max_len (at least 1) whose shortest possible
+    class, of trace 2n and length 2*acosh(n), passes spectrum's filter
+    ``length <= length_cap``.  The bound is computed with the filter's own
+    expression (2n/2 == n exactly), so a cap equal to a class length keeps
+    that class; every larger trace gives a longer length by far more than
+    rounding.  A nan cap gives 1 (no classes), an infinite one max_len, and
+    max_len < 1 is passed through for enumerate_classes to reject."""
+    n = max_len
+    while n > 1 and not 2.0 * math.acosh(n) <= length_cap:
+        n -= 1
+    return n
 
 
 def min_witness(entries: list[SpectrumEntry], k_min: int) -> SpectrumEntry | None:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypcross.spectrum import MAX_WORD_LEN
 from hypcross.words import (
     INVERSE,
     LETTERS,
@@ -139,6 +140,30 @@ def test_enumerate_class_counts():
     lengths = [len(w) for w in enumerate_classes(11)]
     counts = [sum(1 for n in lengths if n <= k) for k in range(1, 12)]
     assert counts == [0, 1, 5, 15, 39, 102, 258, 673, 1769, 4734, 12786]
+
+
+@pytest.fixture(scope="module")
+def guarded_traces():
+    """|trace| of every class up to the longest word spectrum accepts."""
+    return {w: abs(word_trace(w)) for w in enumerate_classes(MAX_WORD_LEN)}
+
+
+def test_trace_at_least_twice_word_length(guarded_traces):
+    # spectrum enumerates only the word lengths n with 2*acosh(n) <= cap;
+    # raising MAX_WORD_LEN re-runs this check over the longer words
+    assert len({len(w) for w in guarded_traces}) == MAX_WORD_LEN - 1
+    assert all(t >= 2 * len(w) for w, t in guarded_traces.items())
+
+
+def test_least_trace_by_word_length(guarded_traces):
+    least = {}
+    for w, t in guarded_traces.items():
+        least[len(w)] = min(least.get(len(w), t), t)
+    # odd lengths attain 2n, at a(aB)^k
+    assert [least[n] for n in range(2, 13)] == [6, 6, 10, 10, 18, 14, 26, 18, 34, 22, 42]
+    for k in range(1, 6):
+        w = "a" + "aB" * k
+        assert abs(word_trace(w)) == 2 * len(w) == least[len(w)]
 
 
 def test_enumerate_leaves_no_garbage_cycles():
