@@ -2,7 +2,9 @@
 surfaces.
 
 Submodules:
-  halfplane  -- isometries, distance, axes, trace-length dictionary
+  halfplane  -- isometries, distance, axes, trace-length dictionary, and
+                the 2x2 tuple kernel (mat_mul, mat_inv, mat_pow, moebius,
+                moebius_point, fixed_points) shared by words, selfint, pants
   collar     -- collar half-widths, asymmetric profiles, hexagon gap
   pants      -- two-boundary winding curve lengths with a holonomy oracle
   winding    -- arc length <-> winding number dictionary for collars and cusps

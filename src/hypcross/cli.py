@@ -3,7 +3,8 @@
 Every run emits one self-describing JSON document (stable key order, so runs
 with identical flags are byte-identical); the spectrum subcommand emits a
 tab-separated table instead.  Exit codes: 0 success, 1 failed checks,
-2 usage errors.
+2 usage errors, including a ValueError raised by the library on an
+out-of-range input (reported as one line on stderr, without a traceback).
 
 An optional key=value config file (--config FILE) supplies flag defaults with
 the same names; explicit flags win.
@@ -246,7 +247,11 @@ def main(argv: list[str] | None = None) -> int:
         argv = argv[:1] + injected + argv[1:]  # explicit flags come later and win
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        print(f"{parser.prog} {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

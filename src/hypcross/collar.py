@@ -82,11 +82,6 @@ class CollarProfile:
 GRID_POINTS = 10_000
 
 
-def _grid(lo: float, hi: float, n: int) -> np.ndarray:
-    # uniform grid on (0, hi] style ranges: endpoints included, zero excluded
-    return np.linspace(lo, hi, n)
-
-
 def width_scan(grid: int = GRID_POINTS) -> dict:
     """Grid audit of the width inequalities and the gap identity.
 
@@ -97,12 +92,12 @@ def width_scan(grid: int = GRID_POINTS) -> dict:
       * w and w1 strictly decreasing (negative finite differences)
     and locates the crossover core length where w1 = 2w (it lies beyond 2.3).
     """
-    xs = _grid(20.0 / grid, 20.0, grid)
+    xs = np.linspace(20.0 / grid, 20.0, grid)
     w = np.arcsinh(1.0 / np.sinh(xs / 2.0))
     w1 = np.arcsinh(1.0 / np.sinh(xs / 4.0))
     gap = 2.0 * np.log1p(2.0 / np.expm1(xs / 4.0))
 
-    xs_short = _grid(2.3 / grid, 2.3, grid)
+    xs_short = np.linspace(2.3 / grid, 2.3, grid)
     w_s = np.arcsinh(1.0 / np.sinh(xs_short / 2.0))
     w1_s = np.arcsinh(1.0 / np.sinh(xs_short / 4.0))
 

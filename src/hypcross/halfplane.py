@@ -1,4 +1,11 @@
-"""Upper half-plane primitives: isometries, distance, axes, trace-length dictionary."""
+"""Upper half-plane primitives: isometries, distance, axes, trace-length dictionary.
+
+The 2x2 matrix kernel (mat_mul, mat_inv, mat_pow, moebius, moebius_point,
+fixed_points) works on plain tuples (a, b, c, d) for [[a, b], [c, d]].  The
+product, inverse and power use only +, - and *, so int, float and mpmath.mpf
+entries all work and int entries stay exact.  Isometry, words, selfint and
+pants all go through it.
+"""
 
 from __future__ import annotations
 
@@ -19,6 +26,61 @@ class NotHyperbolic(ValueError):
 
 class SharedEndpoint(ValueError):
     """Two axes share a boundary endpoint; the configuration is not transverse."""
+
+
+# ------------------------------------------------------------ 2x2 kernel
+
+def mat_mul(m, n):
+    """Product m*n of (a, b, c, d) tuples."""
+    a, b, c, d = m
+    p, q, r, s = n
+    return (a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s)
+
+
+def mat_inv(m):
+    """Adjugate (d, -b, -c, a): the inverse of a unit-determinant matrix."""
+    a, b, c, d = m
+    return (d, -b, -c, a)
+
+
+def mat_pow(m, k: int):
+    """m**k for k >= 1, multiplied left to right: ((m*m)*m)*..."""
+    if k < 1:
+        raise ValueError(f"exponent must be >= 1, got {k}")
+    out = m
+    for _ in range(k - 1):
+        out = mat_mul(out, m)
+    return out
+
+
+def moebius(m, x):
+    """Moebius action x -> (a x + b)/(c x + d) on a boundary point
+    (INFINITY-aware: a pole maps to INFINITY, INFINITY maps to a/c)."""
+    a, b, c, d = m
+    if x == INFINITY:
+        return a / c if c != 0.0 else INFINITY
+    den = c * x + d
+    if den == 0.0:
+        return INFINITY
+    return (a * x + b) / den
+
+
+def moebius_point(m, z: complex) -> complex:
+    """Moebius action on an interior point z of the half-plane."""
+    a, b, c, d = m
+    return (a * z + b) / (c * z + d)
+
+
+def fixed_points(m) -> tuple[float, float]:
+    """Real fixed points of a hyperbolic matrix with c != 0, unsorted: the
+    roots of c x^2 + (d - a) x - b = 0 by the cancellation-free pair
+    t/c, -b/t.  The discriminant is (d-a)^2 + 4bc = tr^2 - 4 > 0, so t != 0."""
+    a, b, c, d = m
+    tr = a + d
+    bq = d - a
+    sq = math.sqrt(tr * tr - 4.0)
+    t = -0.5 * (bq + math.copysign(sq, bq)) if bq != 0.0 else 0.5 * sq
+    return (t / c, -b / t)
 
 
 @dataclass(frozen=True)
@@ -65,12 +127,7 @@ IDENTITY = Isometry(1.0, 0.0, 0.0, 1.0)
 
 def compose(g: Isometry, h: Isometry) -> Isometry:
     """Matrix product g*h, renormalized to unit determinant."""
-    return Isometry(
-        g.a * h.a + g.b * h.c,
-        g.a * h.b + g.b * h.d,
-        g.c * h.a + g.d * h.c,
-        g.c * h.b + g.d * h.d,
-    )
+    return Isometry(*mat_mul((g.a, g.b, g.c, g.d), (h.a, h.b, h.c, h.d)))
 
 
 @dataclass(frozen=True)
@@ -103,18 +160,7 @@ class Axis:
 
 def apply_boundary(g: Isometry, x: float) -> float:
     """Moebius action on a boundary point (INFINITY-aware)."""
-    if x == INFINITY:
-        return g.a / g.c if g.c != 0.0 else INFINITY
-    den = g.c * x + g.d
-    if den == 0.0:
-        return INFINITY
-    return (g.a * x + g.b) / den
-
-
-def apply_point(g: Isometry, p: Point) -> Point:
-    z = complex(p.x, p.y)
-    w = (g.a * z + g.b) / (g.c * z + g.d)
-    return Point(w.real, w.imag)
+    return moebius((g.a, g.b, g.c, g.d), x)
 
 
 def apply_axis(g: Isometry, axis: Axis) -> Axis:
@@ -151,14 +197,7 @@ def axis_of(g: Isometry) -> Axis:
     scale = max(abs(g.a), abs(g.b), abs(g.d), 1.0)
     if abs(g.c) <= 1e-14 * scale:
         return Axis(g.b / (g.d - g.a), INFINITY)
-    # disc = (d-a)^2 + 4bc = tr^2 - 4 > 0; stable quadratic roots
-    disc = g.trace * g.trace - 4.0
-    bq = g.d - g.a
-    sq = math.sqrt(disc)
-    t = -0.5 * (bq + math.copysign(sq, bq)) if bq != 0.0 else 0.5 * sq
-    r1 = t / g.c
-    r2 = -g.b / t if t != 0.0 else 0.0
-    return Axis(r1, r2)
+    return Axis(*fixed_points((g.a, g.b, g.c, g.d)))
 
 
 def _theta(x: float) -> float:

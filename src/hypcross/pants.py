@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .halfplane import Isometry
+from .halfplane import Isometry, mat_inv, mat_mul, mat_pow
 
 
 class ConstructionFailure(RuntimeError):
@@ -138,9 +138,8 @@ def pants_holonomy(P: PantsBoundary) -> PantsHolonomy:
 def _validate_holonomy(hol: PantsHolonomy, P: PantsBoundary) -> None:
     A = (hol.A.a, hol.A.b, hol.A.c, hol.A.d)
     B = (hol.B.a, hol.B.b, hol.B.c, hol.B.d)
-    Binv = (B[3], -B[1], -B[2], B[0])
-    ab_inv = _raw_mul(A, Binv)
-    ab = _raw_mul(A, B)
+    ab_inv = mat_mul(A, mat_inv(B))
+    ab = mat_mul(A, B)
     errs = (
         abs(abs(A[0] + A[3]) - 2.0 * P.c(1)),
         abs(abs(B[0] + B[3]) - 2.0 * P.c(2)),
@@ -150,19 +149,6 @@ def _validate_holonomy(hol: PantsHolonomy, P: PantsBoundary) -> None:
         raise ConstructionFailure(f"trace constraints violated by {max(errs):.3e}")
     if ab[0] + ab[3] <= 2.0:
         raise ConstructionFailure("A*B is not hyperbolic")
-
-
-def _raw_mul(m, n):
-    a, b, c, d = m
-    p, q, r, s = n
-    return (a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s)
-
-
-def _raw_pow(m, k: int):
-    out = m
-    for _ in range(k - 1):
-        out = _raw_mul(out, m)
-    return out
 
 
 def trace_length_oracle(P: PantsBoundary, C: CurveClass) -> float:
@@ -178,7 +164,7 @@ def trace_length_oracle(P: PantsBoundary, C: CurveClass) -> float:
 
     with mpmath.workdps(40):
         A, B = _holonomy_entries(P, mpmath.cosh, mpmath.exp, mpmath.sqrt, mpmath.mpf)
-        word = _raw_mul(_raw_pow(A, C.m), _raw_pow(B, C.n))
+        word = mat_mul(mat_pow(A, C.m), mat_pow(B, C.n))
         tr = word[0] + word[3]
         if abs(tr) <= 2:
             raise ConstructionFailure(f"word trace {tr} is not hyperbolic")

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from math import comb, inf as INF
 
+from .halfplane import fixed_points, length_from_trace, mat_inv, mat_mul, moebius, moebius_point
 from .words import (
     INVERSE,
     LETTERS,
@@ -72,40 +73,6 @@ def _check_word(w: str) -> None:
 def _fmat(w: str) -> tuple[float, float, float, float]:
     a, b, c, d = word_matrix(w)
     return float(a), float(b), float(c), float(d)
-
-
-def _mul(m, n):
-    a, b, c, d = m
-    p, q, r, s = n
-    return (a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s)
-
-
-def _inv(m):
-    a, b, c, d = m
-    return (d, -b, -c, a)
-
-
-def _moeb(m, x: float) -> float:
-    a, b, c, d = m
-    if x == INF:
-        return a / c if c != 0.0 else INF
-    den = c * x + d
-    if den == 0.0:
-        return INF
-    return (a * x + b) / den
-
-
-def _fixed_points(m) -> tuple[float, float]:
-    """Real fixed points of a hyperbolic matrix with c != 0, sorted."""
-    a, b, c, d = m
-    tr = a + d
-    disc = tr * tr - 4.0
-    bq = d - a
-    sq = math.sqrt(disc)
-    t = -0.5 * (bq + math.copysign(sq, bq)) if bq != 0.0 else 0.5 * sq
-    r1 = t / c
-    r2 = -b / t
-    return (r1, r2) if r1 <= r2 else (r2, r1)
 
 
 # ------------------------------------------------- double-coset counting
@@ -184,18 +151,18 @@ def self_intersection_count(w: str, cutoff: int | None = None) -> int:
         cutoff = n + 8
 
     g = _fmat(w)
-    ell = 2.0 * math.acosh(abs(g[0] + g[3]) / 2.0)
-    p_lo, p_hi = _fixed_points(g)
+    ell = length_from_trace(g[0] + g[3])
+    p_lo, p_hi = sorted(fixed_points(g))
     # send the axis to {0, infinity}: x -> (x - p_lo)/(p_hi - x)
     s = 1.0 / math.sqrt(p_hi - p_lo)
     phi = (s, -p_lo * s, -s, p_hi * s)
-    gens = {y: _mul(_mul(phi, _fmat(y)), _inv(phi)) for y in LETTERS}
-    arcs = {y: (_moeb(phi, u), _moeb(phi, v)) for y, (u, v) in _BASE_ARC.items()}
+    gens = {y: mat_mul(mat_mul(phi, _fmat(y)), mat_inv(phi)) for y in LETTERS}
+    arcs = {y: (moebius(phi, u), moebius(phi, v)) for y, (u, v) in _BASE_ARC.items()}
 
     seeds = []
     for r in rotations(w):
-        e1, e2 = _fixed_points(_fmat(r))
-        seeds.append((r, _moeb(phi, e1), _moeb(phi, e2)))
+        e1, e2 = fixed_points(_fmat(r))
+        seeds.append((r, moebius(phi, e1), moebius(phi, e2)))
 
     ylo, yhi = 0.99, 1.01 * math.exp(ell)
     wi = inverse_word(w)
@@ -207,8 +174,8 @@ def self_intersection_count(w: str, cutoff: int | None = None) -> int:
                 continue  # the branch of w itself is the axis, not a crosser
             if last is not None and (last == INVERSE[r[0]] or last == r[-1]):
                 continue
-            p1 = _moeb(qmat, e1)
-            p2 = _moeb(qmat, e2)
+            p1 = moebius(qmat, e1)
+            p2 = moebius(qmat, e2)
             if p1 == INF or p2 == INF or min(abs(p1), abs(p2)) < 1e-15:
                 raise BranchDegeneracy(f"branch endpoint degenerated for conjugate of {r!r}")
             if p1 * p2 < 0.0:
@@ -228,9 +195,9 @@ def self_intersection_count(w: str, cutoff: int | None = None) -> int:
             for y in LETTERS:
                 if last is not None and y == INVERSE[last]:
                     continue
-                cmat = _mul(qmat, gens[y])
+                cmat = mat_mul(qmat, gens[y])
                 au, av = arcs[INVERSE[y]]
-                img_u, img_v = _moeb(cmat, au), _moeb(cmat, av)
+                img_u, img_v = moebius(cmat, au), moebius(cmat, av)
                 # allowed region for this subtree: complement of the image arc
                 if _hull_meets_segment(img_v, img_u, ylo, yhi):
                     visit(cmat, qword + y, y)
@@ -255,11 +222,6 @@ _PAIRING = {
     "Cm": (1.0, 0.0, 2.0, 1.0),  # exit |2z+1| = 1, re-enter on |2z-1| = 1
     "Cp": (1.0, 0.0, -2.0, 1.0), # exit |2z-1| = 1
 }
-
-
-def _apply_pt(m, z: complex) -> complex:
-    a, b, c, d = m
-    return (a * z + b) / (c * z + d)
 
 
 def _hyp_dist(z1: complex, z2: complex) -> float:
@@ -324,7 +286,7 @@ class _Line:
 
 def _map_line(m, line: _Line) -> _Line:
     p, q = line.endpoints()
-    return _Line.through(_moeb(m, p), _moeb(m, q))
+    return _Line.through(moebius(m, p), moebius(m, q))
 
 
 def _wall_hits(line: _Line):
@@ -358,16 +320,16 @@ def _reduce_to_domain(z: complex, maxiter: int = 10_000):
         k = math.floor((z.real + 1.0) / 2.0)
         if k != 0:
             shift = (1.0, -2.0 * k, 0.0, 1.0)
-            z = _apply_pt(shift, z)
-            m = _mul(shift, m)
+            z = moebius_point(shift, z)
+            m = mat_mul(shift, m)
         if abs(z + 0.5) < 0.5 - 1e-13:
             step = _PAIRING["Cm"]
         elif abs(z - 0.5) < 0.5 - 1e-13:
             step = _PAIRING["Cp"]
         else:
             return z, m
-        z = _apply_pt(step, z)
-        m = _mul(step, m)
+        z = moebius_point(step, z)
+        m = mat_mul(step, m)
     raise TracerError("point reduction did not terminate")
 
 
@@ -398,8 +360,8 @@ def _trace_arcs(w: str, tol: float):
     Returns a list of (line, t_from, t_to) in traversal order.
     """
     g = _fmat(w)
-    ell = 2.0 * math.acosh(abs(g[0] + g[3]) / 2.0)
-    p_lo, p_hi = _fixed_points(g)
+    ell = length_from_trace(g[0] + g[3])
+    p_lo, p_hi = sorted(fixed_points(g))
     a, b, c, d = g
     # attracting endpoint: the Moebius derivative 1/(c x + d)^2 is < 1 there
     att = p_hi if abs(c * p_hi + d) > 1.0 else p_lo
@@ -407,7 +369,7 @@ def _trace_arcs(w: str, tol: float):
 
     z, m = _reduce_to_domain(apex)
     line = _map_line(m, _Line.through(p_lo, p_hi))
-    goal = _moeb(m, att)
+    goal = moebius(m, att)
     sign = _direction(line, goal)
 
     arcs = []
@@ -430,8 +392,8 @@ def _trace_arcs(w: str, tol: float):
             if wall is None:
                 raise TracerError(f"no forward wall exit found for {w!r}")
             pair = _PAIRING[wall]
-            z = _apply_pt(pair, pt)
-            goal = _moeb(pair, goal)
+            z = moebius_point(pair, pt)
+            goal = moebius(pair, goal)
             line = _map_line(pair, line)
             sign = _direction(line, goal)
             t = line.param(z)
@@ -447,8 +409,8 @@ def _trace_arcs(w: str, tol: float):
         arcs.append((line, t, th))
         traveled += seg
         pair = _PAIRING[wall]
-        z = _apply_pt(pair, line.point(th))
-        goal = _moeb(pair, goal)
+        z = moebius_point(pair, line.point(th))
+        goal = moebius(pair, goal)
         line = _map_line(pair, line)
         sign = _direction(line, goal)
         t = line.param(z)
@@ -522,13 +484,13 @@ def _wall_images(z: complex, tol: float) -> list[complex]:
     out = [z]
     y = z.imag
     if abs(z.real + 1.0) / y < tol:
-        out.append(_apply_pt(_PAIRING["L"], z))
+        out.append(moebius_point(_PAIRING["L"], z))
     if abs(z.real - 1.0) / y < tol:
-        out.append(_apply_pt(_PAIRING["R"], z))
+        out.append(moebius_point(_PAIRING["R"], z))
     if abs(abs(z + 0.5) ** 2 - 0.25) / y < tol:
-        out.append(_apply_pt(_PAIRING["Cm"], z))
+        out.append(moebius_point(_PAIRING["Cm"], z))
     if abs(abs(z - 0.5) ** 2 - 0.25) / y < tol:
-        out.append(_apply_pt(_PAIRING["Cp"], z))
+        out.append(moebius_point(_PAIRING["Cp"], z))
     return out
 
 

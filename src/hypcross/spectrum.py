@@ -9,11 +9,11 @@ words) or from the tracer alone (proper powers).
 
 from __future__ import annotations
 
-import math
 import os
 import tempfile
 from dataclasses import dataclass
 
+from .halfplane import length_from_trace
 from .selfint import self_intersection_count, tracer_count
 from .words import enumerate_classes, is_primitive, word_key, word_trace
 
@@ -81,7 +81,7 @@ def spectrum(
     entries: list[SpectrumEntry] = []
     for w in enumerate_classes(reachable_word_length(max_len, length_cap)):
         tr = word_trace(w)
-        length = 2.0 * math.acosh(abs(tr) / 2.0)
+        length = length_from_trace(tr)
         if length <= length_cap:
             count, method = _count_class(w, cutoff, tol)
             entries.append(SpectrumEntry(w, float(tr), length, count, method))
@@ -95,13 +95,14 @@ def spectrum(
 def reachable_word_length(max_len: int, length_cap: float) -> int:
     """Largest word length n <= max_len (at least 1) whose shortest possible
     class, of trace 2n and length 2*acosh(n), passes spectrum's filter
-    ``length <= length_cap``.  The bound is computed with the filter's own
-    expression (2n/2 == n exactly), so a cap equal to a class length keeps
-    that class; every larger trace gives a longer length by far more than
-    rounding.  A nan cap gives 1 (no classes), an infinite one max_len, and
-    max_len < 1 is passed through for enumerate_classes to reject."""
+    ``length <= length_cap``.  The bound is the filter's own expression,
+    length_from_trace at trace 2n (2n/2 == n exactly), so a cap equal to a
+    class length keeps that class; every larger trace gives a longer length
+    by far more than rounding.  A nan cap gives 1 (no classes), an infinite
+    one max_len, and max_len < 1 is passed through for enumerate_classes to
+    reject."""
     n = max_len
-    while n > 1 and not 2.0 * math.acosh(n) <= length_cap:
+    while n > 1 and not length_from_trace(2 * n) <= length_cap:
         n -= 1
     return n
 

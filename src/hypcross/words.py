@@ -17,6 +17,8 @@ word starts with.
 
 from __future__ import annotations
 
+from .halfplane import mat_mul
+
 LETTERS = "abAB"
 INVERSE = {"a": "A", "A": "a", "b": "B", "B": "b"}
 MIRROR = {"a": "b", "b": "a", "A": "B", "B": "A"}
@@ -103,11 +105,10 @@ def primitive_root(w: str) -> tuple[str, int]:
 
 def word_matrix(w: str) -> tuple[int, int, int, int]:
     """Exact integer matrix of a word in the parabolic generators."""
-    a, b, c, d = 1, 0, 0, 1
+    m = (1, 0, 0, 1)
     for ch in w:
-        p, q, r, s = GEN_MAT[ch]
-        a, b, c, d = a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s
-    return a, b, c, d
+        m = mat_mul(m, GEN_MAT[ch])
+    return m
 
 
 def word_trace(w: str) -> int:

@@ -91,6 +91,27 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--max-word-len", "13", "--cap", "4.6", "--k", "2"],
+        ["spectrum", "--max-word-len", "0", "--cap", "4.6", "--k", "2"],
+        ["collar", "--length", "0"],
+        ["pants-min", "--cap", "2", "--lmax", "3", "--grid", "16"],
+        ["pants-length", "--l1", "-1", "--l2", "0", "--l3", "0", "--m", "1", "--n", "2"],
+        ["winding", "--cusp", "--w", "-1"],
+    ],
+)
+def test_out_of_range_input_is_a_usage_error(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.startswith(f"hypcross {argv[0]}: error: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_verify_passes(capsys):
     code, out = run(capsys, "verify")
     assert code == 0

@@ -18,9 +18,16 @@ from hypcross.halfplane import (
     axis_of,
     compose,
     dist,
+    fixed_points,
     length_from_trace,
+    mat_inv,
+    mat_mul,
+    mat_pow,
+    moebius,
+    moebius_point,
     translation_length,
 )
+from hypcross.words import GEN_MAT, enumerate_classes, word_matrix, word_trace
 
 A_GEN = Isometry(1, 2, 0, 1)
 B_GEN = Isometry(1, 0, 2, 1)
@@ -200,3 +207,65 @@ def test_apply_boundary_infinity_handling():
     assert apply_boundary(A_GEN, INFINITY) == INFINITY
     assert apply_boundary(B_GEN, INFINITY) == 0.5
     assert apply_boundary(B_GEN, -0.5) == INFINITY
+
+
+# ------------------------------------------------------------ 2x2 kernel
+
+
+def test_kernel_int_products_stay_exact():
+    # tr((ab)^k) obeys t_{k+1} = 6 t_k - t_{k-1} from t_0 = 2, t_1 = tr(ab) = 6
+    t_prev, t = 2, 6
+    for _ in range(29):
+        t_prev, t = t, 6 * t - t_prev
+    assert t > 2**53  # beyond float64's exact integers
+    m = word_matrix("ab" * 30)
+    assert all(type(x) is int for x in m)
+    assert m[0] * m[3] - m[1] * m[2] == 1
+    assert word_trace("ab" * 30) == t
+
+
+def test_kernel_inverse_and_power():
+    g = (5, 2, 2, 1)
+    assert mat_mul(g, mat_inv(g)) == (1, 0, 0, 1)
+    assert mat_pow(g, 1) == g
+    assert mat_pow(g, 3) == mat_mul(mat_mul(g, g), g)
+    assert mat_pow(GEN_MAT["a"], 5) == (1, 10, 0, 1)
+    with pytest.raises(ValueError):
+        mat_pow(g, 0)
+
+
+def test_kernel_mpf_power_is_the_left_to_right_product():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        lam = mpmath.exp(mpmath.mpf("0.37"))
+        g = (lam, mpmath.mpf(2) / 3, mpmath.sqrt(2), (1 + mpmath.sqrt(2) * 2 / 3) / lam)
+        got = mat_pow(g, 7)
+        p, q, r, s = g
+        want = g
+        for _ in range(6):
+            a, b, c, d = want
+            want = (a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s)
+        assert all(isinstance(x, mpmath.mpf) for x in got)
+        assert got == want
+
+
+def test_kernel_moebius_on_int_entries_and_interior_points():
+    assert moebius((5, 2, 2, 1), 1) == 7 / 3
+    assert moebius_point(GEN_MAT["a"], 0.25 + 1j) == 2.25 + 1j
+    z = moebius_point((5.0, 2.0, 2.0, 1.0), 1j)
+    assert abs(z - (12 + 1j) / 5) < 1e-15
+
+
+def test_fixed_points_match_axis_of_for_every_short_class():
+    classes = enumerate_classes(6)
+    assert len(classes) > 100
+    for w in classes:
+        m = tuple(float(x) for x in word_matrix(w))
+        roots = fixed_points(m)
+        ax = axis_of(Isometry(*m))
+        assert tuple(sorted(roots)) == (ax.p, ax.q), w
+        # at its repelling root m magnifies rounding by up to tr^2, so each
+        # root is checked against whichever of m, m^-1 attracts there
+        for r in roots:
+            residual = min(abs(moebius(m, r) - r), abs(moebius(mat_inv(m), r) - r))
+            assert residual <= 1e-12 * abs(r), w
