@@ -115,7 +115,7 @@ def test_criterion_6_concavity_chain():
     step = 2 * math.asinh(4.0) - 2 * math.asinh(2.0)
     assert step > 1.06
     assert abs(step - 1.3021541441645819) < 1e-9
-    _report(6, "concavity chain", t0, 10.0)
+    _report(6, "concavity chain", t0, 5.0)
 
 
 @pytest.mark.xfail(

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from hypcross.collar import wide_width
+from hypcross import verifier
 from hypcross.verifier import (
     CASE_SPLIT,
     BracketFailure,
+    ChainViolation,
     DomainError,
+    SuiteReport,
     constants,
     corkscrew_length,
     find_bound_minimum,
@@ -132,10 +135,88 @@ def test_concavity_chain_requires_dense_grid():
         verify_concavity_chain(t_grid=10)
 
 
+def _chunked_concavity_chain(t_grid: int) -> SuiteReport:
+    """Reference for verify_concavity_chain: the same audit evaluated on whole
+    1000 x 256 chunks, with half_collar_arc called per term."""
+    rep = SuiteReport(
+        "concavity-chain",
+        config={"t_grid": t_grid, "alpha_grid": 1000, "t_range": [1e-4, CASE_SPLIT / 2.0], "alpha_range": [1e-3, 6.0]},
+    )
+    ts = np.geomspace(1e-4, CASE_SPLIT / 2.0, t_grid)
+    alphas = np.geomspace(1e-3, 6.0, 1000)
+
+    worst_second = -math.inf
+    worst_pt = None
+    worst_incr = math.inf
+    incr_pt = None
+    worst_mono = math.inf
+    chunk = 256
+    for i in range(0, len(ts), chunk):
+        t = ts[i : i + chunk][None, :]
+        a = alphas[:, None]
+        h = 0.01 * a
+        second = half_collar_arc(a + h, t) + half_collar_arc(a - h, t) - 2.0 * half_collar_arc(a, t)
+        j = int(np.argmax(second))
+        if second.flat[j] > worst_second:
+            worst_second = float(second.flat[j])
+            jj = np.unravel_index(j, second.shape)
+            worst_pt = {"alpha": float(a[jj[0], 0]), "t": float(t[0, jj[1]])}
+
+        incr = 2.0 * half_collar_arc(a + 1.0, t) - 2.0 * half_collar_arc(a, t)
+        ref = 2.0 * half_collar_arc(2.0, t) - 2.0 * half_collar_arc(1.0, t)
+        small = a[:, 0] <= 1.0
+        gap_small = (incr - ref)[small, :]
+        j = int(np.argmin(gap_small))
+        if gap_small.flat[j] < worst_incr:
+            worst_incr = float(gap_small.flat[j])
+            jj = np.unravel_index(j, gap_small.shape)
+            incr_pt = {"alpha": float(a[small, 0][jj[0]]), "t": float(t[0, jj[1]])}
+        worst_mono = min(worst_mono, float(np.min(-np.diff(incr, axis=0))))
+
+    rep.add("arc-concave-in-winding", worst_second <= 1e-12, -worst_second, worst_pt)
+    rep.add("unit-increment-dominates-below-1", worst_incr >= -1e-12, worst_incr, incr_pt)
+    rep.add("increments-nonincreasing-in-winding", worst_mono >= -1e-12, worst_mono)
+
+    us = 2.0 * np.cosh(0.5 * np.geomspace(1e-4, 5.0, t_grid)) ** 2
+    g = 2.0 * np.arcsinh(2.0 * us) - 2.0 * np.arcsinh(us)
+    inf_val = 2.0 * math.asinh(4.0) - 2.0 * math.asinh(2.0)
+    rep.add("asinh-difference-increasing-in-u", bool(np.all(np.diff(g[np.argsort(us)]) > 0.0)), float(np.min(np.diff(g[np.argsort(us)]))))
+    rep.add("asinh-difference-infimum", bool(np.all(g >= inf_val - 1e-12)), float(np.min(g) - inf_val), {"u_min": float(np.min(us))})
+    rep.add("infimum-above-threshold", inf_val > CASE_SPLIT, inf_val - CASE_SPLIT)
+
+    tab = constants()
+    rep.add("gap-below-threshold", tab.gap < CASE_SPLIT, CASE_SPLIT - tab.gap)
+
+    for c in rep.checks:
+        if not c.passed:
+            raise ChainViolation(f"{c.id} failed at {c.witness} (margin {c.margin})")
+    return rep
+
+
+@pytest.mark.parametrize("t_grid", [100, 256, 257, 1000, 2000])
+def test_concavity_chain_matches_whole_chunk_reference(t_grid):
+    # one chunk, exactly one, one column past it, several chunks
+    assert verify_concavity_chain(t_grid).as_dict() == _chunked_concavity_chain(t_grid).as_dict()
+
+
+@pytest.mark.parametrize("rows", [1, 7, 1000])
+def test_concavity_chain_independent_of_row_block(monkeypatch, rows):
+    # one row per block puts every difference along alpha across a block edge
+    want = _chunked_concavity_chain(300).as_dict()
+    monkeypatch.setattr(verifier, "_ALPHA_BLOCK", rows)
+    assert verify_concavity_chain(300).as_dict() == want
+
+
 def test_case1_chain_report():
     rep = verify_case1_chain(t_grid=2000)
     assert rep.passed
     assert any("width" in note for note in rep.notes)
+
+
+@pytest.mark.parametrize("t_grid", [0, 1, 99])
+def test_case1_chain_requires_dense_grid(t_grid):
+    with pytest.raises(ValueError):
+        verify_case1_chain(t_grid=t_grid)
 
 
 def test_case1_substitution_value():
