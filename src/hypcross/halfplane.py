@@ -181,12 +181,18 @@ def translation_length(g: Isometry) -> float:
     return length_from_trace(g.trace)
 
 
+def complex_dist(z: complex, w: complex) -> float:
+    """Hyperbolic distance between points z, w of the half-plane,
+    cosh d = 1 + |z-w|^2 / (2 y1 y2), evaluated in the equivalent form
+    2*asinh(|z-w| / (2 sqrt(y1 y2))) which stays accurate when the points
+    nearly coincide."""
+    d = z - w
+    return 2.0 * math.asinh(0.5 * math.hypot(d.real, d.imag) / math.sqrt(z.imag * w.imag))
+
+
 def dist(p: Point, q: Point) -> float:
-    """Hyperbolic distance, cosh d = 1 + ((x1-x2)^2 + (y1-y2)^2) / (2 y1 y2),
-    evaluated in the equivalent form 2*asinh(|p-q| / (2 sqrt(y1 y2))) which
-    stays accurate when the points nearly coincide."""
-    sep = math.hypot(p.x - q.x, p.y - q.y)
-    return 2.0 * math.asinh(0.5 * sep / math.sqrt(p.y * q.y))
+    """Hyperbolic distance between two Points (see complex_dist)."""
+    return complex_dist(complex(p.x, p.y), complex(q.x, q.y))
 
 
 def axis_of(g: Isometry) -> Axis:

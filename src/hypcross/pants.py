@@ -184,7 +184,8 @@ def minimize_over_moduli(
     mn_cap: int, length_cap: float, grid: int
 ) -> tuple[PantsBoundary, CurveClass, float]:
     """Grid search of the curve length over (l1, l2, l3) in [0, length_cap]^3
-    and all winding pairs with m + n >= 3, m*n <= mn_cap.
+    and all winding pairs with m + n >= 3, m*n <= mn_cap; length_cap must be
+    finite and > 0.
 
     Zero is always a grid point, so the cusp boundary of moduli space is
     scanned exactly.  Ties are broken lexicographically on (l1, l2, l3, m, n).
@@ -196,6 +197,8 @@ def minimize_over_moduli(
         raise ValueError(f"mn_cap must be >= 3, got {mn_cap}")
     if grid < 2:
         raise ValueError(f"grid must be >= 2, got {grid}")
+    if not (math.isfinite(length_cap) and length_cap > 0.0):
+        raise ValueError(f"length_cap must be finite and > 0, got {length_cap}")
     ls = np.linspace(0.0, length_cap, grid)
     L1, L2, L3 = np.meshgrid(ls, ls, ls, indexing="ij")
     c1 = np.cosh(0.5 * L1)

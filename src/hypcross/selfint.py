@@ -16,7 +16,13 @@ Tracer method: march the axis through the standard fundamental domain
 pairings, for exactly one period.  The resulting chain of circular arcs is the
 geodesic drawn on the surface; transverse crossings among the arcs, merged by
 proximity and counted with the n-choose-2 convention at merged points, give
-the count.
+the count.  One wall table (_WALLS) holds each wall as a geodesic with its
+side pairing: exits are the axis's crossings with the wall geodesics, and the
+on-wall and outside-the-domain tests loop over the table.  Every hyperbolic
+distance is halfplane.complex_dist, the formula behind halfplane.dist.
+
+Both counters share one preamble (_geodesic): the word checks, the float
+matrix, the translation length and the sorted axis endpoints.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from __future__ import annotations
 import math
 from math import comb, inf as INF
 
-from .halfplane import fixed_points, length_from_trace, mat_inv, mat_mul, moebius, moebius_point
+from .halfplane import complex_dist, fixed_points, length_from_trace, mat_inv, mat_mul, moebius, moebius_point
 from .words import (
     INVERSE,
     LETTERS,
@@ -59,20 +65,24 @@ class BranchDegeneracy(RuntimeError):
     """A conjugate branch endpoint collided with the axis endpoints."""
 
 
-def _check_word(w: str) -> None:
+def _fmat(w: str) -> tuple[float, float, float, float]:
+    a, b, c, d = word_matrix(w)
+    return float(a), float(b), float(c), float(d)
+
+
+def _geodesic(w: str):
+    """Shared start of both counters: validate w, then return its float
+    matrix, translation length and sorted axis endpoints (p_lo, p_hi)."""
     if not w or any(ch not in LETTERS for ch in w):
         raise ValueError(f"not a word over {LETTERS!r}: {w!r}")
     if not is_cyclically_reduced(w):
         raise ValueError(f"word must be cyclically reduced: {w!r}")
-    if abs(word_trace(w)) <= 2:
-        raise ValueError(f"word is not hyperbolic (|trace| = {abs(word_trace(w))}): {w!r}")
-
-
-# ------------------------------------------------------------ mat helpers
-
-def _fmat(w: str) -> tuple[float, float, float, float]:
-    a, b, c, d = word_matrix(w)
-    return float(a), float(b), float(c), float(d)
+    tr = abs(word_trace(w))
+    if tr <= 2:
+        raise ValueError(f"word is not hyperbolic (|trace| = {tr}): {w!r}")
+    g = _fmat(w)
+    p_lo, p_hi = sorted(fixed_points(g))
+    return g, length_from_trace(g[0] + g[3]), p_lo, p_hi
 
 
 # ------------------------------------------------- double-coset counting
@@ -143,16 +153,12 @@ def self_intersection_count(w: str, cutoff: int | None = None) -> int:
     Conjugators are searched to word length `cutoff` (default: len(w) + 8).
     Raises CutoffTooSmall if two extra levels of search still add crossings.
     """
-    _check_word(w)
+    _, ell, p_lo, p_hi = _geodesic(w)
     if not is_primitive(w):
         raise NotPrimitiveWord(f"word is a proper power: {w!r}")
-    n = len(w)
     if cutoff is None:
-        cutoff = n + 8
+        cutoff = len(w) + 8
 
-    g = _fmat(w)
-    ell = length_from_trace(g[0] + g[3])
-    p_lo, p_hi = sorted(fixed_points(g))
     # send the axis to {0, infinity}: x -> (x - p_lo)/(p_hi - x)
     s = 1.0 / math.sqrt(p_hi - p_lo)
     phi = (s, -p_lo * s, -s, p_hi * s)
@@ -216,18 +222,8 @@ def self_intersection_count(w: str, cutoff: int | None = None) -> int:
 
 # --------------------------------------------------------------- tracer
 
-_PAIRING = {
-    "L": (1.0, 2.0, 0.0, 1.0),   # exit x = -1, re-enter at x = +1
-    "R": (1.0, -2.0, 0.0, 1.0),  # exit x = +1
-    "Cm": (1.0, 0.0, 2.0, 1.0),  # exit |2z+1| = 1, re-enter on |2z-1| = 1
-    "Cp": (1.0, 0.0, -2.0, 1.0), # exit |2z-1| = 1
-}
-
-
-def _hyp_dist(z1: complex, z2: complex) -> float:
-    d2 = abs(z1 - z2) ** 2
-    c = 1.0 + d2 / (2.0 * z1.imag * z2.imag)
-    return math.acosh(max(c, 1.0))
+# default tracer tolerance: crossings merge at 10*TRACER_TOL (hyperbolic)
+TRACER_TOL = 1e-6
 
 
 class _Line:
@@ -276,6 +272,18 @@ class _Line:
             return abs(t2 - t1)
         return abs(math.log(math.tan(0.5 * t2) / math.tan(0.5 * t1)))
 
+    def offset(self, z: complex) -> float:
+        """Euclidean distance from z to the line."""
+        if self.kind == "v":
+            return abs(z.real - self.c)
+        return abs(abs(z - self.c) - self.r)
+
+    def sinh_dist(self, z: complex) -> float:
+        """sinh of the hyperbolic distance from z to the line."""
+        if self.kind == "v":
+            return abs(z.real - self.c) / z.imag
+        return abs(abs(z - self.c) ** 2 - self.r**2) / (2.0 * self.r * z.imag)
+
     def same_as(self, other: "_Line", tol: float) -> bool:
         if self.kind != other.kind:
             return False
@@ -284,155 +292,14 @@ class _Line:
         return abs(self.c - other.c) <= tol and abs(self.r - other.r) <= tol
 
 
-def _map_line(m, line: _Line) -> _Line:
-    p, q = line.endpoints()
-    return _Line.through(moebius(m, p), moebius(m, q))
-
-
-def _wall_hits(line: _Line):
-    """Intersections of the full line with the four domain walls."""
-    hits = []
-    if line.kind == "v":
-        for wall, s in (("Cm", -0.5), ("Cp", 0.5)):
-            y2 = 0.25 - (line.c - s) ** 2
-            if y2 > 0.0:
-                hits.append((wall, complex(line.c, math.sqrt(y2))))
-        return hits
-    c, r = line.c, line.r
-    for wall, v in (("L", -1.0), ("R", 1.0)):
-        u = (v - c) / r
-        if -1.0 < u < 1.0:
-            hits.append((wall, complex(v, r * math.sqrt(1.0 - u * u))))
-    for wall, s in (("Cm", -0.5), ("Cp", 0.5)):
-        if c == s:
-            continue
-        x = (r * r - 0.25 + s * s - c * c) / (2.0 * (s - c))
-        y2 = r * r - (x - c) ** 2
-        if y2 > 0.0:
-            hits.append((wall, complex(x, math.sqrt(y2))))
-    return hits
-
-
-def _reduce_to_domain(z: complex, maxiter: int = 10_000):
-    """Translate a point into the fundamental domain, returning the applied map."""
-    m = (1.0, 0.0, 0.0, 1.0)
-    for _ in range(maxiter):
-        k = math.floor((z.real + 1.0) / 2.0)
-        if k != 0:
-            shift = (1.0, -2.0 * k, 0.0, 1.0)
-            z = moebius_point(shift, z)
-            m = mat_mul(shift, m)
-        if abs(z + 0.5) < 0.5 - 1e-13:
-            step = _PAIRING["Cm"]
-        elif abs(z - 0.5) < 0.5 - 1e-13:
-            step = _PAIRING["Cp"]
-        else:
-            return z, m
-        z = moebius_point(step, z)
-        m = mat_mul(step, m)
-    raise TracerError("point reduction did not terminate")
-
-
-def _containing_wall(z: complex, tol: float = 1e-9) -> str | None:
-    if abs(z.real + 1.0) < tol:
-        return "L"
-    if abs(z.real - 1.0) < tol:
-        return "R"
-    if abs(abs(z + 0.5) - 0.5) < tol:
-        return "Cm"
-    if abs(abs(z - 0.5) - 0.5) < tol:
-        return "Cp"
-    return None
-
-
-def _direction(line: _Line, goal: float) -> float:
-    """Sign of the parameter increment when marching toward the boundary
-    point `goal`, which is one of the line's two endpoints."""
-    if line.kind == "v":
-        return 1.0 if goal == INF else -1.0
-    # circle chart: angle 0 at c+r, pi at c-r
-    return -1.0 if abs(goal - (line.c + line.r)) < abs(goal - (line.c - line.r)) else 1.0
-
-
-def _trace_arcs(w: str, tol: float):
-    """One period of the geodesic of w as wall-to-wall arcs in the domain.
-
-    Returns a list of (line, t_from, t_to) in traversal order.
-    """
-    g = _fmat(w)
-    ell = length_from_trace(g[0] + g[3])
-    p_lo, p_hi = sorted(fixed_points(g))
-    a, b, c, d = g
-    # attracting endpoint: the Moebius derivative 1/(c x + d)^2 is < 1 there
-    att = p_hi if abs(c * p_hi + d) > 1.0 else p_lo
-    apex = complex(0.5 * (p_lo + p_hi), 0.5 * (p_hi - p_lo))
-
-    z, m = _reduce_to_domain(apex)
-    line = _map_line(m, _Line.through(p_lo, p_hi))
-    goal = moebius(m, att)
-    sign = _direction(line, goal)
-
-    arcs = []
-    traveled = 0.0
-    t = line.param(z)
-    start_z = z
-    for _ in range(100_000):
-        best = None
-        for wall, hit in _wall_hits(line):
-            th = line.param(hit)
-            if (th - t) * sign <= 1e-12:
-                continue
-            if best is None or (th - best[1]) * sign < 0.0:
-                best = (wall, th)
-        if best is None:
-            # on a wall pointing straight out of the domain: step through the
-            # pairing with a zero-length transition and retry
-            pt = line.point(t)
-            wall = _containing_wall(pt)
-            if wall is None:
-                raise TracerError(f"no forward wall exit found for {w!r}")
-            pair = _PAIRING[wall]
-            z = moebius_point(pair, pt)
-            goal = moebius(pair, goal)
-            line = _map_line(pair, line)
-            sign = _direction(line, goal)
-            t = line.param(z)
-            if not arcs:
-                start_z = z
-            continue
-        wall, th = best
-        seg = line.gap(t, th)
-        if traveled + seg >= ell - 1e-9:
-            t_end = line.advance(t, ell - traveled, sign)
-            arcs.append((line, t, t_end))
-            break
-        arcs.append((line, t, th))
-        traveled += seg
-        pair = _PAIRING[wall]
-        z = moebius_point(pair, line.point(th))
-        goal = moebius(pair, goal)
-        line = _map_line(pair, line)
-        sign = _direction(line, goal)
-        t = line.param(z)
-    else:
-        raise TracerError(f"period not exhausted after 100000 wall crossings for {w!r}")
-
-    end_z = arcs[-1][0].point(arcs[-1][2])
-    if _hyp_dist(end_z, start_z) > 1e-6:
-        # start/end may sit on paired walls; compare orbit representatives
-        closed = any(
-            _hyp_dist(p, q) < 1e-6
-            for p in _wall_images(end_z, 1e-6)
-            for q in _wall_images(start_z, 1e-6)
-        )
-        if not closed:
-            raise TracerError(f"chain failed to close for {w!r}: gap {_hyp_dist(end_z, start_z):.3e}")
-    # first and last arc lie on the same line split at the starting point; fuse
-    if len(arcs) > 1 and arcs[0][0].same_as(arcs[-1][0], 1e-9):
-        line0, t0a, t0b = arcs[0]
-        _, tka, _ = arcs[-1]
-        arcs = [(line0, tka, t0b)] + arcs[1:-1]
-    return arcs
+# the domain's walls, each with the side pairing that carries a point leaving
+# through it to its re-entry point on the partner wall
+_WALLS = {
+    "L": (_Line("v", -1.0), (1.0, 2.0, 0.0, 1.0)),  # x = -1, re-enter at x = +1
+    "R": (_Line("v", 1.0), (1.0, -2.0, 0.0, 1.0)),  # x = +1
+    "Cm": (_Line("c", -0.5, 0.5), (1.0, 0.0, 2.0, 1.0)),  # |2z+1| = 1, re-enter on |2z-1| = 1
+    "Cp": (_Line("c", 0.5, 0.5), (1.0, 0.0, -2.0, 1.0)),  # |2z-1| = 1
+}
 
 
 def _line_crossing(l1: _Line, l2: _Line) -> complex | None:
@@ -454,6 +321,117 @@ def _line_crossing(l1: _Line, l2: _Line) -> complex | None:
     return complex(x, math.sqrt(y2))
 
 
+def _map_line(m, line: _Line) -> _Line:
+    p, q = line.endpoints()
+    return _Line.through(moebius(m, p), moebius(m, q))
+
+
+def _wall_images(z: complex, tol: float) -> list[complex]:
+    """The point together with its side-pairing copies across every wall
+    within hyperbolic distance asinh(tol) of it."""
+    return [z] + [moebius_point(pair, z) for wall, pair in _WALLS.values() if wall.sinh_dist(z) < tol]
+
+
+def _containing_wall(z: complex) -> str | None:
+    """Name of the first wall within Euclidean distance 1e-9 of z."""
+    return next((name for name, (wall, _) in _WALLS.items() if wall.offset(z) < 1e-9), None)
+
+
+def _reduce_to_domain(z: complex):
+    """Translate a point into the fundamental domain, returning the applied map."""
+    m = (1.0, 0.0, 0.0, 1.0)
+    for _ in range(10_000):
+        k = math.floor((z.real + 1.0) / 2.0)
+        if k != 0:
+            shift = (1.0, -2.0 * k, 0.0, 1.0)
+            z = moebius_point(shift, z)
+            m = mat_mul(shift, m)
+        # inside the strip; leave any half-disk cut off by a circle wall
+        for wall, step in _WALLS.values():
+            if wall.kind == "c" and abs(z - wall.c) < wall.r - 1e-13:
+                z = moebius_point(step, z)
+                m = mat_mul(step, m)
+                break
+        else:
+            return z, m
+    raise TracerError("point reduction did not terminate")
+
+
+def _direction(line: _Line, goal: float) -> float:
+    """Sign of the parameter increment when marching toward the boundary
+    point `goal`, which is one of the line's two endpoints."""
+    if line.kind == "v":
+        return 1.0 if goal == INF else -1.0
+    # circle chart: angle 0 at c+r, pi at c-r
+    return -1.0 if abs(goal - (line.c + line.r)) < abs(goal - (line.c - line.r)) else 1.0
+
+
+def _trace_arcs(w: str):
+    """One period of the geodesic of w as wall-to-wall arcs in the domain.
+
+    Returns a list of (line, t_from, t_to) in traversal order.
+    """
+    g, ell, p_lo, p_hi = _geodesic(w)
+    # attracting endpoint: the Moebius derivative 1/(c x + d)^2 is < 1 there
+    att = p_hi if abs(g[2] * p_hi + g[3]) > 1.0 else p_lo
+    z, m = _reduce_to_domain(complex(0.5 * (p_lo + p_hi), 0.5 * (p_hi - p_lo)))
+    line = _map_line(m, _Line.through(p_lo, p_hi))
+    goal = moebius(m, att)
+    sign = _direction(line, goal)
+
+    arcs = []
+    traveled = 0.0
+    t = line.param(z)
+    start_z = z
+    for _ in range(100_000):
+        best = None
+        for name, (wall, _) in _WALLS.items():
+            hit = _line_crossing(line, wall)
+            if hit is None:
+                continue
+            th = line.param(hit)
+            if (th - t) * sign <= 1e-12:
+                continue
+            if best is None or (th - best[1]) * sign < 0.0:
+                best = (name, th)
+        if best is None:
+            # on a wall pointing straight out of the domain: step through the
+            # pairing with a zero-length transition and retry
+            name, th = _containing_wall(line.point(t)), t
+            if name is None:
+                raise TracerError(f"no forward wall exit found for {w!r}")
+        else:
+            name, th = best
+            seg = line.gap(t, th)
+            if traveled + seg >= ell - 1e-9:
+                arcs.append((line, t, line.advance(t, ell - traveled, sign)))
+                break
+            arcs.append((line, t, th))
+            traveled += seg
+        # carry the march through the exit wall's side pairing
+        pair = _WALLS[name][1]
+        z = moebius_point(pair, line.point(th))
+        goal = moebius(pair, goal)
+        line = _map_line(pair, line)
+        sign = _direction(line, goal)
+        t = line.param(z)
+        if not arcs:
+            start_z = z
+    else:
+        raise TracerError(f"period not exhausted after 100000 wall crossings for {w!r}")
+
+    # start and end may sit on paired walls: compare orbit representatives
+    end_z = arcs[-1][0].point(arcs[-1][2])
+    if not any(complex_dist(p, q) < 1e-6 for p in _wall_images(end_z, 1e-6) for q in _wall_images(start_z, 1e-6)):
+        raise TracerError(f"chain failed to close for {w!r}: gap {complex_dist(end_z, start_z):.3e}")
+    # first and last arc lie on the same line split at the starting point; fuse
+    if len(arcs) > 1 and arcs[0][0].same_as(arcs[-1][0], 1e-9):
+        line0, t0a, t0b = arcs[0]
+        _, tka, _ = arcs[-1]
+        arcs = [(line0, tka, t0b)] + arcs[1:-1]
+    return arcs
+
+
 def _tangent(line: _Line, z: complex) -> complex:
     if line.kind == "v":
         return 1j
@@ -468,39 +446,18 @@ def _on_arc(line: _Line, lo: float, hi: float, z: complex, tol: float) -> bool:
     return a - slack <= t <= b + slack
 
 
-def _arc_hyp_dist(line: _Line, lo: float, hi: float, z: complex) -> float:
-    a, b = min(lo, hi), max(lo, hi)
-    if line.kind == "c":
-        t = math.atan2(z.imag, z.real - line.c)
-    else:
-        t = math.log(z.imag) if z.imag > 0 else a
-    t = min(max(t, a), b)
-    return _hyp_dist(z, line.point(t))
+def _arc_dist(line: _Line, lo: float, hi: float, z: complex) -> float:
+    """Hyperbolic distance from z to the arc's point nearest in the chart."""
+    t = min(max(line.param(z), min(lo, hi)), max(lo, hi))
+    return complex_dist(z, line.point(t))
 
 
-def _wall_images(z: complex, tol: float) -> list[complex]:
-    """The point together with its side-pairing copies when it sits on a wall
-    (proximity measured hyperbolically: sinh d of point-to-geodesic)."""
-    out = [z]
-    y = z.imag
-    if abs(z.real + 1.0) / y < tol:
-        out.append(moebius_point(_PAIRING["L"], z))
-    if abs(z.real - 1.0) / y < tol:
-        out.append(moebius_point(_PAIRING["R"], z))
-    if abs(abs(z + 0.5) ** 2 - 0.25) / y < tol:
-        out.append(moebius_point(_PAIRING["Cm"], z))
-    if abs(abs(z - 0.5) ** 2 - 0.25) / y < tol:
-        out.append(moebius_point(_PAIRING["Cp"], z))
-    return out
-
-
-def tracer_count(w: str, tol: float = 1e-6) -> int:
+def tracer_count(w: str, tol: float = TRACER_TOL) -> int:
     """Self-intersection number by tracing the geodesic through the
     fundamental domain and counting transverse arc crossings, merged at
     10*tol (hyperbolic) with the n-choose-2 convention at merged points."""
-    _check_word(w)
     merge_tol = 10.0 * tol
-    arcs = _trace_arcs(w, tol)
+    arcs = _trace_arcs(w)
 
     points: list[complex] = []
     for i in range(len(arcs)):
@@ -521,31 +478,26 @@ def tracer_count(w: str, tol: float = 1e-6) -> int:
 
     clusters: list[complex] = []
     for z in sorted(points, key=lambda p: (p.real, p.imag)):
-        if not any(_hyp_dist(z, c) < merge_tol for c in clusters):
+        if not any(complex_dist(z, c) < merge_tol for c in clusters):
             clusters.append(z)
 
     total = 0
     for center in clusters:
         copies = _wall_images(center, merge_tol)
         passes = 0
+        starts, ends = [], []  # does arc i start / end at a copy of the point?
         for line, lo, hi in arcs:
+            near_s = any(complex_dist(line.point(lo), p) < merge_tol for p in copies)
+            near_e = any(complex_dist(line.point(hi), p) < merge_tol for p in copies)
+            starts.append(near_s)
+            ends.append(near_e)
             # an arc may touch the merged point at both of its wall endpoints
-            near_s = any(_hyp_dist(line.point(lo), p) < merge_tol for p in copies)
-            near_e = any(_hyp_dist(line.point(hi), p) < merge_tol for p in copies)
-            touches = int(near_s) + int(near_e)
-            if touches == 0 and any(_arc_hyp_dist(line, lo, hi, p) < merge_tol for p in copies):
-                touches = 1
-            passes += touches
-        continuations = 0
-        for i in range(len(arcs)):
-            li, ai, bi = arcs[i]
-            lj, aj, bj = arcs[(i + 1) % len(arcs)]
-            end_i = li.point(bi)
-            start_j = lj.point(aj)
-            if any(_hyp_dist(end_i, p) < merge_tol for p in copies) and any(
-                _hyp_dist(start_j, p) < merge_tol for p in copies
-            ):
-                continuations += 1
+            if near_s or near_e:
+                passes += near_s + near_e
+            elif any(_arc_dist(line, lo, hi, p) < merge_tol for p in copies):
+                passes += 1
+        # an arc ending where the next one starts is one strand crossing a wall
+        continuations = sum(e and s for e, s in zip(ends, starts[1:] + starts[:1]))
         strands = passes - continuations
         if strands < 2:
             raise TracerError(f"cluster at {center} resolved to {strands} strands for {w!r}")

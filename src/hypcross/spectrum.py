@@ -14,7 +14,7 @@ import tempfile
 from dataclasses import dataclass
 
 from .halfplane import length_from_trace
-from .selfint import self_intersection_count, tracer_count
+from .selfint import TRACER_TOL, self_intersection_count, tracer_count
 from .words import enumerate_classes, is_primitive, word_key, word_trace
 
 # version of the cache file layout; part of the header key
@@ -41,24 +41,17 @@ class SpectrumEntry:
         return (self.length, word_key(self.word))
 
 
-def _count_class(w: str, cutoff: int | None, tol: float) -> tuple[int, str]:
+def _count_class(w: str) -> tuple[int, str]:
     if is_primitive(w):
-        dc = self_intersection_count(w, cutoff)
-        tr = tracer_count(w, tol)
+        dc = self_intersection_count(w)
+        tr = tracer_count(w)
         if dc != tr:
             raise MethodDisagreement(f"{w!r}: doublecoset {dc} != tracer {tr}")
         return dc, "both"
-    return tracer_count(w, tol), "tracer"
+    return tracer_count(w), "tracer"
 
 
-def spectrum(
-    max_len: int,
-    length_cap: float,
-    k_min: int,
-    cutoff: int | None = None,
-    tol: float = 1e-6,
-    cache_path: str | None = None,
-) -> list[SpectrumEntry]:
+def spectrum(max_len: int, length_cap: float, k_min: int, cache_path: str | None = None) -> list[SpectrumEntry]:
     """All hyperbolic classes of word length <= max_len and geodesic length
     <= length_cap, sorted by (length, word), each with its self-intersection
     count.  k_min is the caller's threshold of interest (see min_witness);
@@ -69,11 +62,16 @@ def spectrum(
     2*acosh(n) and only the word lengths with 2*acosh(n) <= length_cap are
     enumerated (see reachable_word_length): word length 5 at the sharp bound
     2*acosh(5).  The entries are those of a filter over every class through
-    max_len; max_len only bites when it is below that reachable length."""
+    max_len; max_len only bites when it is below that reachable length.
+
+    Both counters run at fixed settings: the double-coset default cutoff
+    len(w) + 8 and the tracer tolerance TRACER_TOL.  The cache header names
+    them as cutoff=default and tol=TRACER_TOL, the layout caches have always
+    used, so caches written by earlier versions still hit."""
     if max_len > MAX_WORD_LEN:
         raise ValueError(f"max_len must be <= {MAX_WORD_LEN}, got {max_len}")
 
-    key = _cache_key(max_len, length_cap, cutoff, tol)
+    key = _cache_key(max_len, length_cap)
     cached = _read_cache(cache_path, key) if cache_path else None
     if cached is not None:
         return cached
@@ -83,7 +81,7 @@ def spectrum(
         tr = word_trace(w)
         length = length_from_trace(tr)
         if length <= length_cap:
-            count, method = _count_class(w, cutoff, tol)
+            count, method = _count_class(w)
             entries.append(SpectrumEntry(w, float(tr), length, count, method))
 
     entries.sort(key=SpectrumEntry.sort_key)
@@ -117,11 +115,12 @@ def min_witness(entries: list[SpectrumEntry], k_min: int) -> SpectrumEntry | Non
 
 # ------------------------------------------------------------------ cache
 
-def _cache_key(max_len: int, length_cap: float, cutoff: int | None, tol: float) -> str:
-    """Header line naming every input that changes the entries."""
+def _cache_key(max_len: int, length_cap: float) -> str:
+    """Header line naming every input that changes the entries, the fixed
+    counter settings included, in the layout older caches were keyed by."""
     return (
         f"# max_len={max_len} length_cap={length_cap!r} "
-        f"cutoff={cutoff if cutoff is not None else 'default'} tol={tol!r} format={CACHE_FORMAT}"
+        f"cutoff=default tol={TRACER_TOL!r} format={CACHE_FORMAT}"
     )
 
 

@@ -100,8 +100,11 @@ def test_usage_error_exit_code(capsys):
         ["pants-min", "--cap", "2", "--lmax", "3", "--grid", "16"],
         ["pants-length", "--l1", "-1", "--l2", "0", "--l3", "0", "--m", "1", "--n", "2"],
         ["winding", "--cusp", "--w", "-1"],
+        ["pants-min", "--cap", "6", "--lmax", "0", "--grid", "16"],
+        ["pants-min", "--cap", "6", "--lmax", "inf", "--grid", "16"],
     ],
 )
+@pytest.mark.filterwarnings("error")  # a warning would print to stderr outside pytest
 def test_out_of_range_input_is_a_usage_error(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()

@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 
 from hypcross.selfint import (
@@ -6,7 +8,7 @@ from hypcross.selfint import (
     self_intersection_count,
     tracer_count,
 )
-from hypcross.words import enumerate_classes, is_primitive, mirror_word, rotations, word_trace
+from hypcross.words import enumerate_classes, is_primitive, mirror_word, primitive_root, rotations, word_trace
 
 
 def test_figure_eight():
@@ -60,6 +62,13 @@ def test_power_counts_frozen():
     assert tracer_count("abab") == 6
     assert tracer_count("ababab") == 15
     assert tracer_count("aabaab") == 12
+    # v^k runs k times along the geodesic of v: each crossing of v is a
+    # merged point passed by 2k strands, so it counts comb(2k, 2) times
+    powers = [w for w in enumerate_classes(10) if not is_primitive(w)]
+    assert len(powers) == 45
+    for w in powers:
+        v, k = primitive_root(w)
+        assert tracer_count(w) == comb(2 * k, 2) * self_intersection_count(v), w
 
 
 def test_powers_rejected_by_doublecoset():

@@ -68,7 +68,8 @@ def test_cache_roundtrip(tmp_path):
     first = spectrum(6, 5.0, 2, cache_path=str(path))
     assert path.exists()
     header = path.read_text().splitlines()[0]
-    assert header.startswith("# max_len=6 ")
+    # the layout caches have always been keyed by: older files still hit
+    assert header == "# max_len=6 length_cap=5.0 cutoff=default tol=1e-06 format=2"
     again = spectrum(6, 5.0, 2, cache_path=str(path))
     assert again == first
 
@@ -133,7 +134,7 @@ def test_pruned_spectrum_matches_brute_filter(max_len, monkeypatch):
     length = {w: 2.0 * math.acosh(abs(t) / 2.0) for w, t in traces.items()}
     classes.sort(key=lambda w: (length[w], word_key(w)))
     # only the word lists are compared: skip the crossing counts
-    monkeypatch.setattr(spectrum_module, "_count_class", lambda w, cutoff, tol: (0, "none"))
+    monkeypatch.setattr(spectrum_module, "_count_class", lambda w: (0, "none"))
     caps = [0.0, -1.0, math.inf, math.nan]
     for t in sorted({abs(t) for t in traces.values()}):
         cap = 2.0 * math.acosh(t / 2.0)
