@@ -3,8 +3,8 @@ counts from two independent algorithms.
 
 Conjugacy classes of the rank-2 holonomy group are cyclically reduced words;
 traces are exact integers, so lengths are exact.  Self-intersection numbers
-come from (a) enumerating conjugate axes that cross a fundamental segment of
-the base axis and (b) tracing the geodesic through the fundamental domain and
+come from (a) counting linked pairs of corners of the cyclic word, in exact
+integers, and (b) tracing the geodesic through the fundamental domain and
 counting transverse arc crossings.  The shortest class with two crossings is
 the double corkscrew aab, exactly at 2log(5+2 sqrt 6).
 """
@@ -22,7 +22,7 @@ for k in range(1, 7):
     w = "a" * k + "b"
     print(
         f"  {w:9s} trace {word_trace(w):3d}  length {2*math.acosh(word_trace(w)/2):.6f}"
-        f"  crossings {self_intersection_count(w)} (axes) / {tracer_count(w)} (tracer)"
+        f"  crossings {self_intersection_count(w)} (exact) / {tracer_count(w)} (tracer)"
     )
 
 cap = 2 * math.acosh(5.0) + 1e-6

@@ -10,7 +10,7 @@ Submodules:
   winding    -- arc length <-> winding number dictionary for collars and cusps
   verifier   -- grid audits of the sharp-bound inequality chains
   words      -- rank-2 free-group words and conjugacy classes
-  selfint    -- self-intersection counts (double-coset and tracer methods)
+  selfint    -- self-intersection counts (exact linked pairs and tracer)
   spectrum   -- bottom of the length spectrum of the three-cusp sphere
 """
 

@@ -1,15 +1,22 @@
 """Self-intersection counts of closed geodesics on the three-cusp sphere,
 computed two independent ways.
 
-Double-coset method: normalize the axis of the word to the imaginary axis.
-Conjugates of the word correspond to the other lifts of the geodesic; a lift
-crossing the axis with crossing height inside one fundamental period is one
-incidence (crossing point, crossing branch), and incidences come in ordered
-pairs, so the count is half the number of distinct branch orbits.  Branch
-orbits are deduplicated symbolically (canonical representative of the
-conjugation orbit under the word itself), and the conjugate search is pruned
-exactly with nested ping-pong intervals, so a pruned subtree provably holds no
-crossing branch.
+Exact method (linked pairs; Cohen & Lustig 1987): the surface retracts onto
+a one-vertex ribbon graph with the two loops a and b, whose four half-edges
+sit round the vertex in the cyclic order a, A, B, b.  Traversing a letter x
+leaves the vertex by half-edge x and returns by half-edge x^-1.  At the
+corner before position i of the cyclic word, a strand enters by the inverse
+of the letter before i and leaves by the letter at i.  For every ordered pair
+of distinct corners (X, Y) that does not continue a shared stretch backward
+(X's incoming half-edge is not one of Y's), the pair either
+  * shares X's outgoing half-edge with Y, read forward or backward: the
+    stretch the two strands then run along together is followed to its far
+    end, and the pair is linked when the strands lie on the same side there
+    as at its start, seen from the shared half-edge; or
+  * uses all four half-edges, and is linked when the two pairs interleave.
+Each crossing is found from both of its corners, so the count is half the
+number of linked pairs.  It uses only integers and costs O(n^2) per word
+plus the stretch lengths, which stay below n for a primitive word.
 
 Tracer method: march the axis through the standard fundamental domain
 {|Re z| <= 1, |2z-1| >= 1, |2z+1| >= 1}, re-entering through the side
@@ -21,8 +28,8 @@ side pairing: exits are the axis's crossings with the wall geodesics, and the
 on-wall and outside-the-domain tests loop over the table.  Every hyperbolic
 distance is halfplane.complex_dist, the formula behind halfplane.dist.
 
-Both counters share one preamble (_geodesic): the word checks, the float
-matrix, the translation length and the sorted axis endpoints.
+Both counters share the word checks (_check_word); only the tracer builds a
+float matrix.
 """
 
 from __future__ import annotations
@@ -30,23 +37,8 @@ from __future__ import annotations
 import math
 from math import comb, inf as INF
 
-from .halfplane import complex_dist, fixed_points, length_from_trace, mat_inv, mat_mul, moebius, moebius_point
-from .words import (
-    INVERSE,
-    LETTERS,
-    free_reduce,
-    inverse_word,
-    is_cyclically_reduced,
-    is_primitive,
-    word_key,
-    word_matrix,
-    word_trace,
-    rotations,
-)
-
-
-class CutoffTooSmall(RuntimeError):
-    """Conjugator search did not stabilize under a cutoff increase of 2."""
+from .halfplane import complex_dist, fixed_points, length_from_trace, mat_mul, moebius, moebius_point
+from .words import INVERSE, LETTERS, is_cyclically_reduced, is_primitive, word_matrix, word_trace
 
 
 class DegenerateCrossing(RuntimeError):
@@ -58,21 +50,12 @@ class TracerError(RuntimeError):
 
 
 class NotPrimitiveWord(ValueError):
-    """Double-coset counting requires a primitive (non-power) word."""
+    """The exact count requires a primitive (non-power) word."""
 
 
-class BranchDegeneracy(RuntimeError):
-    """A conjugate branch endpoint collided with the axis endpoints."""
-
-
-def _fmat(w: str) -> tuple[float, float, float, float]:
-    a, b, c, d = word_matrix(w)
-    return float(a), float(b), float(c), float(d)
-
-
-def _geodesic(w: str):
-    """Shared start of both counters: validate w, then return its float
-    matrix, translation length and sorted axis endpoints (p_lo, p_hi)."""
+def _check_word(w: str) -> None:
+    """Shared start of both counters: w must be a cyclically reduced
+    hyperbolic word over LETTERS."""
     if not w or any(ch not in LETTERS for ch in w):
         raise ValueError(f"not a word over {LETTERS!r}: {w!r}")
     if not is_cyclically_reduced(w):
@@ -80,144 +63,57 @@ def _geodesic(w: str):
     tr = abs(word_trace(w))
     if tr <= 2:
         raise ValueError(f"word is not hyperbolic (|trace| = {tr}): {w!r}")
-    g = _fmat(w)
-    p_lo, p_hi = sorted(fixed_points(g))
-    return g, length_from_trace(g[0] + g[3]), p_lo, p_hi
 
 
-# ------------------------------------------------- double-coset counting
+# ---------------------------------------------------------- exact count
 
-# ping-pong intervals on the boundary circle, as (from, to) swept in the
-# increasing-atan direction: each generator maps the complement of the
-# interval of its inverse inside its own interval
-_BASE_ARC = {"a": (1.0, INF), "A": (INF, -1.0), "b": (0.0, 1.0), "B": (-1.0, 0.0)}
+# position of each half-edge going round the vertex
+_AROUND = {"a": 0, "A": 1, "B": 2, "b": 3}
 
 
-def _hull_meets_segment(u: float, v: float, ylo: float, yhi: float) -> bool:
-    """Does the hyperbolic hull of the boundary arc (u -> v, positive sweep)
-    meet the vertical segment {x = 0, ylo <= y <= yhi}?"""
-    if not (math.isfinite(u) or u == INF) or not (math.isfinite(v) or v == INF):
-        return True  # degenerate image; never prune on bad floats
-    if u == INF and v == INF:
-        return True
-    if u == INF:  # arc is {x <= v} plus infinity: a Euclidean half-plane
-        return v >= 0.0
-    if v == INF:  # arc is {x >= u} plus infinity
-        return u <= 0.0
-    if u == v:
-        return True
-    if u < v:  # half-disk over [u, v]
-        m = 0.5 * (u + v)
-        rho = 0.5 * (v - u)
-        return m * m + ylo * ylo <= rho * rho
-    # wraps through infinity: complement of the open half-disk over [v, u]
-    m = 0.5 * (u + v)
-    rho = 0.5 * (u - v)
-    return m * m + yhi * yhi >= rho * rho
+def _before(s: str, p: str, q: str) -> bool:
+    """Does p come before q going round the vertex from s?"""
+    return (_AROUND[p] - _AROUND[s]) % 4 < (_AROUND[q] - _AROUND[s]) % 4
 
 
-def _orbit_canonical(v: str, w: str, wi: str) -> str:
-    """Canonical representative of {w^k v w^-k}: length-minimal, then least."""
-    def fwd(x: str) -> str:
-        return free_reduce(w + x + wi)
-
-    def bwd(x: str) -> str:
-        return free_reduce(wi + x + w)
-
-    cur = v
-    for _ in range(10_000):
-        nf, nb = fwd(cur), bwd(cur)
-        if len(nf) < len(cur):
-            cur = nf
-        elif len(nb) < len(cur):
-            cur = nb
-        else:
-            break
-    else:
-        raise RuntimeError(f"orbit reduction did not terminate for {v!r}")
-    plateau = {cur}
-    for step in (fwd, bwd):
-        x = cur
-        for _ in range(10_000):
-            x = step(x)
-            if len(x) != len(cur) or x in plateau:
-                break
-            plateau.add(x)
-    return min(plateau, key=word_key)
-
-
-def self_intersection_count(w: str, cutoff: int | None = None) -> int:
+def self_intersection_count(w: str) -> int:
     """Self-intersection number of the closed geodesic of a primitive
-    cyclically reduced hyperbolic word, by the axis double-coset method.
-
-    Conjugators are searched to word length `cutoff` (default: len(w) + 8).
-    Raises CutoffTooSmall if two extra levels of search still add crossings.
-    """
-    _, ell, p_lo, p_hi = _geodesic(w)
+    cyclically reduced hyperbolic word, by the exact linked-pairs count (see
+    the module docstring).  Raises NotPrimitiveWord for a proper power."""
+    _check_word(w)
     if not is_primitive(w):
         raise NotPrimitiveWord(f"word is a proper power: {w!r}")
-    if cutoff is None:
-        cutoff = len(w) + 8
-
-    # send the axis to {0, infinity}: x -> (x - p_lo)/(p_hi - x)
-    s = 1.0 / math.sqrt(p_hi - p_lo)
-    phi = (s, -p_lo * s, -s, p_hi * s)
-    gens = {y: mat_mul(mat_mul(phi, _fmat(y)), mat_inv(phi)) for y in LETTERS}
-    arcs = {y: (moebius(phi, u), moebius(phi, v)) for y, (u, v) in _BASE_ARC.items()}
-
-    seeds = []
-    for r in rotations(w):
-        e1, e2 = fixed_points(_fmat(r))
-        seeds.append((r, moebius(phi, e1), moebius(phi, e2)))
-
-    ylo, yhi = 0.99, 1.01 * math.exp(ell)
-    wi = inverse_word(w)
-    crossings: set[str] = set()
-
-    def visit(qmat, qword: str, last: str | None) -> None:
-        for r, e1, e2 in seeds:
-            if last is None and r == w:
-                continue  # the branch of w itself is the axis, not a crosser
-            if last is not None and (last == INVERSE[r[0]] or last == r[-1]):
+    n = len(w)
+    # out2[k]: half-edge leaving the corner before position k mod n;
+    # in2[k - 1]: half-edge entering it (negative indices wrap too)
+    out2 = w + w
+    in2 = "".join(INVERSE[ch] for ch in out2)
+    linked = 0
+    for i in range(n):
+        x_in, x_out = in2[i - 1], w[i]
+        for j in range(n):
+            y_in, y_out = in2[j - 1], w[j]
+            if j == i or x_in == y_in or x_in == y_out:
                 continue
-            p1 = moebius(qmat, e1)
-            p2 = moebius(qmat, e2)
-            if p1 == INF or p2 == INF or min(abs(p1), abs(p2)) < 1e-15:
-                raise BranchDegeneracy(f"branch endpoint degenerated for conjugate of {r!r}")
-            if p1 * p2 < 0.0:
-                crossings.add(_orbit_canonical(qword + r + inverse_word(qword), w, wi))
-
-    ident = (1.0, 0.0, 0.0, 1.0)
-    visit(ident, "", None)
-    frontier = [(ident, "", None)]
-    depth = 0
-    count_at_cutoff: int | None = None
-    while frontier and depth < cutoff + 2:
-        if depth == cutoff:
-            count_at_cutoff = len(crossings)
-        depth += 1
-        nxt = []
-        for qmat, qword, last in frontier:
-            for y in LETTERS:
-                if last is not None and y == INVERSE[last]:
-                    continue
-                cmat = mat_mul(qmat, gens[y])
-                au, av = arcs[INVERSE[y]]
-                img_u, img_v = moebius(cmat, au), moebius(cmat, av)
-                # allowed region for this subtree: complement of the image arc
-                if _hull_meets_segment(img_v, img_u, ylo, yhi):
-                    visit(cmat, qword + y, y)
-                    nxt.append((cmat, qword + y, y))
-        frontier = nxt
-
-    if count_at_cutoff is not None and len(crossings) != count_at_cutoff:
-        raise CutoffTooSmall(
-            f"count moved from {count_at_cutoff} to {len(crossings)} within two levels past cutoff {cutoff}"
-        )
-    total = len(crossings)
-    if total % 2 != 0:
-        raise RuntimeError(f"incidence set has odd size {total}; pairing convention violated")
-    return total // 2
+            if x_out == y_out:  # Y runs along X forward
+                m = 1
+                while out2[i + m] == out2[j + m]:
+                    m += 1
+                start = (x_in, y_in)
+                far = (out2[i + m], out2[j + m])
+            elif x_out == y_in:  # Y runs along X backward
+                m = 1
+                while out2[i + m] == in2[j - 1 - m]:
+                    m += 1
+                start = (x_in, y_out)
+                far = (out2[i + m], in2[j - 1 - m])
+            else:
+                linked += _before(x_in, y_in, x_out) != _before(x_in, y_out, x_out)
+                continue
+            linked += _before(x_out, *start) == _before(in2[i + m - 1], *far)
+    if linked % 2:
+        raise RuntimeError(f"odd number {linked} of linked pairs for {w!r}")
+    return linked // 2
 
 
 # --------------------------------------------------------------- tracer
@@ -371,7 +267,10 @@ def _trace_arcs(w: str):
 
     Returns a list of (line, t_from, t_to) in traversal order.
     """
-    g, ell, p_lo, p_hi = _geodesic(w)
+    _check_word(w)
+    g = tuple(float(x) for x in word_matrix(w))
+    p_lo, p_hi = sorted(fixed_points(g))
+    ell = length_from_trace(g[0] + g[3])
     # attracting endpoint: the Moebius derivative 1/(c x + d)^2 is < 1 there
     att = p_hi if abs(g[2] * p_hi + g[3]) > 1.0 else p_lo
     z, m = _reduce_to_domain(complex(0.5 * (p_lo + p_hi), 0.5 * (p_hi - p_lo)))
@@ -455,7 +354,19 @@ def _arc_dist(line: _Line, lo: float, hi: float, z: complex) -> float:
 def tracer_count(w: str, tol: float = TRACER_TOL) -> int:
     """Self-intersection number by tracing the geodesic through the
     fundamental domain and counting transverse arc crossings, merged at
-    10*tol (hyperbolic) with the n-choose-2 convention at merged points."""
+    10*tol (hyperbolic) with the n-choose-2 convention at merged points.
+
+    tol must lie in [1e-10, 1e-4], where the count is correct on all 657
+    primitive classes through word length 8; a ValueError is raised otherwise
+    (nan included).  Outside that range it silently goes wrong: at 1e-3 on
+    24 of those classes, at 1e-12 on 9.
+
+    A proper power v^k runs k times along the geodesic of v, so each crossing
+    of v is a merged point passed by 2k strands: the count is the frozen
+    convention C(2k, 2) * i(v), not the standard k^2 * i(v) + k - 1 of a
+    perturbed k-fold curve."""
+    if not 1e-10 <= tol <= 1e-4:
+        raise ValueError(f"tol must be in [1e-10, 1e-4], got {tol!r}")
     merge_tol = 10.0 * tol
     arcs = _trace_arcs(w)
 

@@ -26,7 +26,7 @@ MAX_WORD_LEN = 12
 
 
 class MethodDisagreement(RuntimeError):
-    """The double-coset and tracer counts differ for the same class."""
+    """The exact and tracer counts differ for the same class."""
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,7 @@ class SpectrumEntry:
     trace: float
     length: float
     self_intersections: int
-    count_method: str  # doublecoset | tracer | both
+    count_method: str  # both (exact and tracer agree) | tracer (proper powers)
 
     def sort_key(self):
         return (self.length, word_key(self.word))
@@ -43,11 +43,11 @@ class SpectrumEntry:
 
 def _count_class(w: str) -> tuple[int, str]:
     if is_primitive(w):
-        dc = self_intersection_count(w)
+        exact = self_intersection_count(w)
         tr = tracer_count(w)
-        if dc != tr:
-            raise MethodDisagreement(f"{w!r}: doublecoset {dc} != tracer {tr}")
-        return dc, "both"
+        if exact != tr:
+            raise MethodDisagreement(f"{w!r}: exact {exact} != tracer {tr}")
+        return exact, "both"
     return tracer_count(w), "tracer"
 
 
@@ -64,10 +64,12 @@ def spectrum(max_len: int, length_cap: float, k_min: int, cache_path: str | None
     2*acosh(5).  The entries are those of a filter over every class through
     max_len; max_len only bites when it is below that reachable length.
 
-    Both counters run at fixed settings: the double-coset default cutoff
-    len(w) + 8 and the tracer tolerance TRACER_TOL.  The cache header names
-    them as cutoff=default and tol=TRACER_TOL, the layout caches have always
-    used, so caches written by earlier versions still hit."""
+    Primitive classes are counted by the exact linked-pairs count and by the
+    tracer at tolerance TRACER_TOL, which must agree; proper powers by the
+    tracer alone.  The cache header keeps the layout caches have always used,
+    cutoff=default tol=TRACER_TOL: cutoff=default named the double-coset
+    counter the exact count replaced with identical counts, so caches
+    written by earlier versions still hit."""
     if max_len > MAX_WORD_LEN:
         raise ValueError(f"max_len must be <= {MAX_WORD_LEN}, got {max_len}")
 
@@ -117,7 +119,8 @@ def min_witness(entries: list[SpectrumEntry], k_min: int) -> SpectrumEntry | Non
 
 def _cache_key(max_len: int, length_cap: float) -> str:
     """Header line naming every input that changes the entries, the fixed
-    counter settings included, in the layout older caches were keyed by."""
+    counter settings included, in the layout older caches were keyed by
+    (cutoff=default is kept for them only)."""
     return (
         f"# max_len={max_len} length_cap={length_cap!r} "
         f"cutoff=default tol={TRACER_TOL!r} format={CACHE_FORMAT}"

@@ -22,7 +22,12 @@ from .halfplane import mat_mul
 LETTERS = "abAB"
 INVERSE = {"a": "A", "A": "a", "b": "B", "B": "b"}
 MIRROR = {"a": "b", "b": "a", "A": "B", "B": "A"}
-_ORD = {"a": 0, "b": 1, "A": 2, "B": 3}
+
+# codes of a, b, A, B; their string order is the letter order a < b < A < B
+_CODES = "0123"
+_TO_CODE = str.maketrans("abAB", _CODES)
+_FROM_CODE = str.maketrans(_CODES, "abAB")
+_INVERSE_CODE = str.maketrans(_CODES, "2301")
 
 # integer generator matrices (a, b, c, d); parabolic translations pairing the
 # sides of the standard fundamental domain of the three-cusp sphere
@@ -34,8 +39,9 @@ GEN_MAT = {
 }
 
 
-def word_key(w: str) -> tuple:
-    return (len(w), tuple(_ORD[ch] for ch in w))
+def word_key(w: str) -> tuple[int, str]:
+    """Sort key of the order by length, then letters a < b < A < B."""
+    return (len(w), w.translate(_TO_CODE))
 
 
 def inverse_word(w: str) -> str:
@@ -116,10 +122,6 @@ def word_trace(w: str) -> int:
     return m[0] + m[3]
 
 
-# codes of a, b, A, B; their string order is the letter order a < b < A < B
-_CODES = "0123"
-_FROM_CODE = str.maketrans(_CODES, "abAB")
-_INVERSE_CODE = str.maketrans(_CODES, "2301")
 # _EXTEND[lo][last]: codes c >= lo that may follow `last` in a reduced word,
 # largest first, so that the stack pops the least extension first
 _EXTEND = {

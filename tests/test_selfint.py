@@ -1,9 +1,11 @@
+import json
+import math
 from math import comb
+from pathlib import Path
 
 import pytest
 
 from hypcross.selfint import (
-    CutoffTooSmall,
     NotPrimitiveWord,
     self_intersection_count,
     tracer_count,
@@ -87,11 +89,35 @@ def test_input_validation():
         tracer_count("bA")  # not cyclically reduced
 
 
-def test_cutoff_convergence_guard():
-    with pytest.raises(CutoffTooSmall):
-        self_intersection_count("aab", cutoff=0)
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-6, 1e-3, 1e-12])
+def test_tracer_refuses_tolerance_outside_its_range(tol):
+    with pytest.raises(ValueError):
+        tracer_count("aab", tol)
 
 
-def test_generous_cutoff_matches_default():
-    for w in ("ab", "aab", "aaab"):
-        assert self_intersection_count(w) == self_intersection_count(w, cutoff=len(w) + 12)
+@pytest.mark.parametrize("tol", [1e-10, 1e-4])
+def test_tracer_tolerance_range_ends(tol):
+    assert tracer_count("aab", tol) == 2
+
+
+def test_exact_count_matches_benchmark_reference():
+    # every count of the count-words reference (primitive words of length
+    # 6 to 11), recorded when both float counters agreed on each of them
+    ref = Path(__file__).resolve().parents[1] / "bench" / "reference" / "count-words.json"
+    counts = json.loads(ref.read_text())["counts"]
+    assert len(counts) > 12_000
+    assert all(self_intersection_count(w) == c for w, c in counts.items())
+
+
+@pytest.mark.parametrize("k", range(1, 21))
+def test_near_cusp_family(k):
+    # a(ab)^k, word lengths 3 to 41
+    assert self_intersection_count("a" + "ab" * k) == k * (k + 1)
+
+
+def test_length_twelve_class_where_default_tracer_overcounts():
+    # the default tolerance gives 17 here (a strict xfail in bench/); a finer
+    # tracer tolerance agrees with the exact count
+    w = "aaaabbbaBabb"
+    assert self_intersection_count(w) == 14
+    assert tracer_count(w, tol=1e-8) == 14

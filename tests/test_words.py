@@ -1,4 +1,5 @@
 import gc
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -129,6 +130,14 @@ def brute_force_classes(max_len):
         if canonical_class(w) == w and abs(word_trace(w)) > 2:
             found.append(w)
     return sorted(found, key=word_key)
+
+
+def test_word_key_is_length_then_letter_order():
+    # the letter codes sort every word through length 6 exactly as the
+    # tuples of letter ranks a < b < A < B did
+    words = ["".join(p) for n in range(1, 7) for p in product(LETTERS, repeat=n)]
+    rank_key = lambda w: (len(w), tuple("abAB".index(ch) for ch in w))  # noqa: E731
+    assert sorted(words, key=word_key) == sorted(words, key=rank_key)
 
 
 @pytest.mark.parametrize("max_len", range(1, 9))
