@@ -28,8 +28,18 @@ side pairing: exits are the axis's crossings with the wall geodesics, and the
 on-wall and outside-the-domain tests loop over the table.  Every hyperbolic
 distance is halfplane.complex_dist, the formula behind halfplane.dist.
 
-Both counters share the word checks (_check_word); only the tracer builds a
-float matrix.
+Each arc's record (_Arc) is built once after the trace: both endpoints and
+the sorted parameter range, bare and widened by the merge slack, which the
+crossing loop and the strand count read.  Before its three exact tests (arc
+start, arc end, or the arc's nearest chart point within the merge radius of a
+copy p of a merged point), the strand count drops p when the sinh of its
+distance to the arc's whole line is at least 2*sinh(merge radius) (_screen).
+The screen is exact: all three tested points lie on that line, and no point
+of a line is nearer p than the line is, so a dropped p is one where all three
+tests are false.  The factor 2 covers rounding.
+
+Both counters share the word checks (_check_word), which build the integer
+word matrix once; only the tracer reads it, as floats.
 """
 
 from __future__ import annotations
@@ -38,7 +48,7 @@ import math
 from math import comb, inf as INF
 
 from .halfplane import complex_dist, fixed_points, length_from_trace, mat_mul, moebius, moebius_point
-from .words import INVERSE, LETTERS, is_cyclically_reduced, is_primitive, word_matrix, word_trace
+from .words import INVERSE, LETTERS, is_cyclically_reduced, is_primitive, word_matrix
 
 
 class DegenerateCrossing(RuntimeError):
@@ -53,16 +63,18 @@ class NotPrimitiveWord(ValueError):
     """The exact count requires a primitive (non-power) word."""
 
 
-def _check_word(w: str) -> None:
+def _check_word(w: str) -> tuple[int, int, int, int]:
     """Shared start of both counters: w must be a cyclically reduced
-    hyperbolic word over LETTERS."""
+    hyperbolic word over LETTERS.  Returns its integer matrix."""
     if not w or any(ch not in LETTERS for ch in w):
         raise ValueError(f"not a word over {LETTERS!r}: {w!r}")
     if not is_cyclically_reduced(w):
         raise ValueError(f"word must be cyclically reduced: {w!r}")
-    tr = abs(word_trace(w))
+    m = word_matrix(w)
+    tr = abs(m[0] + m[3])
     if tr <= 2:
         raise ValueError(f"word is not hyperbolic (|trace| = {tr}): {w!r}")
+    return m
 
 
 # ---------------------------------------------------------- exact count
@@ -267,8 +279,7 @@ def _trace_arcs(w: str):
 
     Returns a list of (line, t_from, t_to) in traversal order.
     """
-    _check_word(w)
-    g = tuple(float(x) for x in word_matrix(w))
+    g = tuple(float(x) for x in _check_word(w))
     p_lo, p_hi = sorted(fixed_points(g))
     ell = length_from_trace(g[0] + g[3])
     # attracting endpoint: the Moebius derivative 1/(c x + d)^2 is < 1 there
@@ -338,17 +349,33 @@ def _tangent(line: _Line, z: complex) -> complex:
     return v / abs(v)
 
 
-def _on_arc(line: _Line, lo: float, hi: float, z: complex, tol: float) -> bool:
-    t = line.param(z)
-    a, b = min(lo, hi), max(lo, hi)
-    slack = tol / line.r if line.kind == "c" else tol
-    return a - slack <= t <= b + slack
+class _Arc:
+    """One traced arc, read by the crossing and strand tests: its line, its
+    endpoints, and its sorted parameter range, bare (a, b) and widened by
+    the merge slack (wa, wb)."""
+
+    __slots__ = ("line", "start", "end", "a", "b", "wa", "wb")
+
+    def __init__(self, line: _Line, t_from: float, t_to: float, merge_tol: float):
+        self.line = line
+        self.start, self.end = line.point(t_from), line.point(t_to)
+        self.a, self.b = min(t_from, t_to), max(t_from, t_to)
+        slack = merge_tol / line.r if line.kind == "c" else merge_tol
+        self.wa, self.wb = self.a - slack, self.b + slack
+
+    def holds(self, z: complex) -> bool:
+        """Is z's chart parameter within the widened range?"""
+        return self.wa <= self.line.param(z) <= self.wb
+
+    def dist(self, z: complex) -> float:
+        """Hyperbolic distance from z to the arc's point nearest in the chart."""
+        return complex_dist(z, self.line.point(min(max(self.line.param(z), self.a), self.b)))
 
 
-def _arc_dist(line: _Line, lo: float, hi: float, z: complex) -> float:
-    """Hyperbolic distance from z to the arc's point nearest in the chart."""
-    t = min(max(line.param(z), min(lo, hi)), max(lo, hi))
-    return complex_dist(z, line.point(t))
+def _screen(merge_tol: float) -> float:
+    """sinh-distance from a line beyond which a point is farther than
+    merge_tol from every point of it; the factor 2 covers rounding."""
+    return 2.0 * math.sinh(merge_tol)
 
 
 def tracer_count(w: str, tol: float = TRACER_TOL) -> int:
@@ -356,31 +383,31 @@ def tracer_count(w: str, tol: float = TRACER_TOL) -> int:
     fundamental domain and counting transverse arc crossings, merged at
     10*tol (hyperbolic) with the n-choose-2 convention at merged points.
 
-    tol must lie in [1e-10, 1e-4], where the count is correct on all 657
-    primitive classes through word length 8; a ValueError is raised otherwise
-    (nan included).  Outside that range it silently goes wrong: at 1e-3 on
-    24 of those classes, at 1e-12 on 9.
+    tol must lie in [1e-8, 1e-6]; a ValueError is raised otherwise (nan
+    included).  Checked at 1e-8, 1e-7 and 1e-6, the count equals the exact
+    count on all 12,741 primitive classes through word length 11; at 1e-6 it
+    fails on 10 of the 22,110 of length 12.  Outside the range it silently
+    goes wrong within lengths 9-11: at 1e-5 aaaBaBBABB gives 14 (true 11), at
+    1e-10 aaabaaabab gives 20 (true 19) and ababbbabbb raises TracerError.
 
     A proper power v^k runs k times along the geodesic of v, so each crossing
     of v is a merged point passed by 2k strands: the count is the frozen
     convention C(2k, 2) * i(v), not the standard k^2 * i(v) + k - 1 of a
     perturbed k-fold curve."""
-    if not 1e-10 <= tol <= 1e-4:
-        raise ValueError(f"tol must be in [1e-10, 1e-4], got {tol!r}")
+    if not 1e-8 <= tol <= 1e-6:
+        raise ValueError(f"tol must be in [1e-8, 1e-6], got {tol!r}")
     merge_tol = 10.0 * tol
-    arcs = _trace_arcs(w)
+    arcs = [_Arc(line, lo, hi, merge_tol) for line, lo, hi in _trace_arcs(w)]
 
     points: list[complex] = []
-    for i in range(len(arcs)):
-        li, ai, bi = arcs[i]
-        for j in range(i + 1, len(arcs)):
-            lj, aj, bj = arcs[j]
+    for i, arc in enumerate(arcs):
+        li = arc.line
+        for other in arcs[i + 1 :]:
+            lj = other.line
             if li.same_as(lj, 1e-9):
                 continue
             z = _line_crossing(li, lj)
-            if z is None:
-                continue
-            if not (_on_arc(li, ai, bi, z, merge_tol) and _on_arc(lj, aj, bj, z, merge_tol)):
+            if z is None or not (arc.holds(z) and other.holds(z)):
                 continue
             ang = abs((_tangent(li, z).conjugate() * _tangent(lj, z)).imag)
             if ang < 1e-6:
@@ -392,23 +419,34 @@ def tracer_count(w: str, tol: float = TRACER_TOL) -> int:
         if not any(complex_dist(z, c) < merge_tol for c in clusters):
             clusters.append(z)
 
+    reach = _screen(merge_tol)
     total = 0
     for center in clusters:
         copies = _wall_images(center, merge_tol)
+        # the copies near each arc's whole line: those screened out are too
+        # far from it for any of the three exact tests below to hold
+        near: dict[int, list[complex]] = {}
+        for p in copies:
+            for k, arc in enumerate(arcs):
+                if arc.line.sinh_dist(p) < reach:
+                    near.setdefault(k, []).append(p)
         passes = 0
-        starts, ends = [], []  # does arc i start / end at a copy of the point?
-        for line, lo, hi in arcs:
-            near_s = any(complex_dist(line.point(lo), p) < merge_tol for p in copies)
-            near_e = any(complex_dist(line.point(hi), p) < merge_tol for p in copies)
-            starts.append(near_s)
-            ends.append(near_e)
+        starts, ends = set(), set()  # arcs that start / end at a copy of the point
+        for k, ps in near.items():
+            arc = arcs[k]
+            near_s = any(complex_dist(arc.start, p) < merge_tol for p in ps)
+            near_e = any(complex_dist(arc.end, p) < merge_tol for p in ps)
+            if near_s:
+                starts.add(k)
+            if near_e:
+                ends.add(k)
             # an arc may touch the merged point at both of its wall endpoints
             if near_s or near_e:
                 passes += near_s + near_e
-            elif any(_arc_dist(line, lo, hi, p) < merge_tol for p in copies):
+            elif any(arc.dist(p) < merge_tol for p in ps):
                 passes += 1
         # an arc ending where the next one starts is one strand crossing a wall
-        continuations = sum(e and s for e, s in zip(ends, starts[1:] + starts[:1]))
+        continuations = sum((k + 1) % len(arcs) in starts for k in ends)
         strands = passes - continuations
         if strands < 2:
             raise TracerError(f"cluster at {center} resolved to {strands} strands for {w!r}")

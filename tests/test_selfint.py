@@ -4,9 +4,15 @@ from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from hypcross.halfplane import complex_dist
 from hypcross.selfint import (
     NotPrimitiveWord,
+    TracerError,
+    _Line,
+    _screen,
     self_intersection_count,
     tracer_count,
 )
@@ -89,15 +95,77 @@ def test_input_validation():
         tracer_count("bA")  # not cyclically reduced
 
 
-@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-6, 1e-3, 1e-12])
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-6, 1e-3, 1e-4, 1e-5, 1e-9, 1e-10, 1e-12])
 def test_tracer_refuses_tolerance_outside_its_range(tol):
+    # 1e-4, 1e-5, 1e-9 and 1e-10 give wrong counts or raise on classes of
+    # lengths 9-11, e.g. aaaBaBBABB gives 14 (true 11) at 1e-5
     with pytest.raises(ValueError):
         tracer_count("aab", tol)
 
 
-@pytest.mark.parametrize("tol", [1e-10, 1e-4])
+@pytest.mark.parametrize("tol", [1e-8, 1e-6])
 def test_tracer_tolerance_range_ends(tol):
     assert tracer_count("aab", tol) == 2
+
+
+# the ten length-12 classes where the tracer at 1e-6 disagrees with the exact
+# count: (tracer at 1e-6, tracer at 1e-8 = exact count).  The 1e-6 values are
+# the known overcounts and failures of ROADMAP item 1; the change that moves
+# TRACER_TOL updates them.
+_TOLERANCE_EDGE = {
+    "aaaabbaBabbb": (17, 14),
+    "aaaabbbaBabb": (17, 14),
+    "aaabbbbaabAb": (17, 14),
+    "aaabAbaabbbb": (17, 14),
+    "aababababAAB": (32, 31),
+    "aabAABABABAB": (32, 31),
+    "ababababbABB": (32, 31),
+    "abababaBBAbb": (32, 31),
+    "abaBABBabABB": (TracerError, 26),
+    "abaBBAbaBBAB": (TracerError, 26),
+}
+
+
+def test_tracer_at_the_tolerance_edge():
+    for w, (coarse, fine) in _TOLERANCE_EDGE.items():
+        if coarse is TracerError:
+            with pytest.raises(TracerError):
+                tracer_count(w, 1e-6)
+        else:
+            assert tracer_count(w, 1e-6) == coarse, w
+        assert tracer_count(w, 1e-8) == fine == self_intersection_count(w), w
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.booleans(),
+    st.floats(-2.0, 2.0),
+    st.floats(1e-3, 10.0),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 2.0 * math.pi),
+    st.sampled_from([1e-7, 1e-5]),
+)
+def test_screen_keeps_every_true_neighbour(vertical, c, r, s, u, phi, merge_tol):
+    # q on the line (log-height in [-7, 7], or angle in [1e-3, pi - 1e-3]),
+    # p within merge_tol of q: the strand count's screen must keep p
+    line = _Line("v", c) if vertical else _Line("c", c, r)
+    q = line.point(14.0 * s - 7.0 if vertical else 1e-3 + s * (math.pi - 2e-3))
+    p = q + q.imag * u * merge_tol * complex(math.cos(phi), math.sin(phi))
+    assume(complex_dist(p, q) < merge_tol)
+    assert line.sinh_dist(p) < _screen(merge_tol)
+
+
+def test_most_crossed_class_by_length():
+    # the largest exact count of a primitive class of each length 2..10; at
+    # odd lengths it is (L^2 - 1)/4, the Chas-Phillips maximum for the doubly
+    # punctured plane (no formula is claimed for even lengths)
+    most: dict[int, int] = {}
+    for w in enumerate_classes(10):
+        if is_primitive(w):
+            most[len(w)] = max(most.get(len(w), 0), self_intersection_count(w))
+    assert [most[n] for n in range(2, 11)] == [1, 2, 3, 6, 7, 12, 15, 20, 23]
+    assert all(most[n] == (n * n - 1) // 4 for n in range(3, 11, 2))
 
 
 def test_exact_count_matches_benchmark_reference():
