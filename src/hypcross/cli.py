@@ -4,7 +4,8 @@ Every run emits one self-describing JSON document (stable key order, so runs
 with identical flags are byte-identical); the spectrum subcommand emits a
 tab-separated table instead.  Exit codes: 0 success, 1 failed checks,
 2 usage errors, including a ValueError raised by the library on an
-out-of-range input (reported as one line on stderr, without a traceback).
+out-of-range input and an OSError on a bad --config, --out or --cache path
+(each reported as one line on stderr, without a traceback).
 
 An optional key=value config file (--config FILE) supplies flag defaults with
 the same names; explicit flags win.
@@ -236,8 +237,13 @@ def main(argv: list[str] | None = None) -> int:
         if i + 1 >= len(argv):
             print("--config needs a file path", file=sys.stderr)
             return 2
+        try:
+            cfg = _load_config(argv[i + 1])
+        except OSError as exc:
+            print(f"hypcross: error: {exc}", file=sys.stderr)
+            return 2
         injected: list[str] = []
-        for key, value in _load_config(argv[i + 1]).items():
+        for key, value in cfg.items():
             if value.lower() == "false":
                 continue
             injected.append(f"--{key}")
@@ -249,7 +255,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"{parser.prog} {args.command}: error: {exc}", file=sys.stderr)
         return 2
 

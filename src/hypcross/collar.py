@@ -82,22 +82,22 @@ class CollarProfile:
 GRID_POINTS = 10_000
 
 
-def width_scan(grid: int = GRID_POINTS) -> dict:
+def width_scan() -> dict:
     """Grid audit of the width inequalities and the gap identity.
 
-    Checks, each over `grid` uniform points:
+    Checks, each over GRID_POINTS uniform points:
       * w1 > w on (0, 20]
       * w1 < 2w on (0, 2.3]
       * hexagon_gap == 2*w1 to 1e-12
       * w and w1 strictly decreasing (negative finite differences)
     and locates the crossover core length where w1 = 2w (it lies beyond 2.3).
     """
-    xs = np.linspace(20.0 / grid, 20.0, grid)
+    xs = np.linspace(20.0 / GRID_POINTS, 20.0, GRID_POINTS)
     w = np.arcsinh(1.0 / np.sinh(xs / 2.0))
     w1 = np.arcsinh(1.0 / np.sinh(xs / 4.0))
     gap = 2.0 * np.log1p(2.0 / np.expm1(xs / 4.0))
 
-    xs_short = np.linspace(2.3 / grid, 2.3, grid)
+    xs_short = np.linspace(2.3 / GRID_POINTS, 2.3, GRID_POINTS)
     w_s = np.arcsinh(1.0 / np.sinh(xs_short / 2.0))
     w1_s = np.arcsinh(1.0 / np.sinh(xs_short / 4.0))
 
@@ -111,7 +111,7 @@ def width_scan(grid: int = GRID_POINTS) -> dict:
             lo = mid
 
     return {
-        "grid_points": grid,
+        "grid_points": GRID_POINTS,
         "w1_minus_w_min": float(np.min(w1 - w)),
         "w1_gt_w_on_0_20": bool(np.all(w1 > w)),
         "twow_minus_w1_min_short": float(np.min(2.0 * w_s - w1_s)),

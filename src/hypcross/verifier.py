@@ -213,10 +213,6 @@ def _case_split_T(t):
     return T, Tm2
 
 
-# Alpha rows per block of the concavity audit; see verify_concavity_chain.
-_ALPHA_BLOCK = 64
-
-
 def verify_concavity_chain(t_grid: int = 10_000) -> SuiteReport:
     """Audit the short-loop chain on dense grids.
 
@@ -228,17 +224,10 @@ def verify_concavity_chain(t_grid: int = 10_000) -> SuiteReport:
     2 asinh 4 - 2 asinh 2 > 1.06 over u > 2; (d) the gap between the two
     sharp constants stays below 1.06.
 
-    The 1000 x t_grid (alpha, t) grid of (a) and (b) is walked in chunks of
-    256 t columns, and each chunk in blocks of 64 alpha rows: a 64 x 256
-    float64 block is 128 KiB, so the few reused buffers stay in L2 cache
-    instead of streaming 2 MiB temporaries through memory.  Every value is
-    elementwise in (alpha, t) and computed by the same operations as on the
-    whole chunk, so blocking changes no float.  Blocks are visited in
-    row-major order within a chunk and an extremum replaces the current
-    witness only when strictly better, so each witness is the first extremum
-    in row-major order per chunk, ties included.  The last increment row of
-    a block is carried into the next, so the differences along alpha cover
-    every adjacent pair of a chunk.
+    The 1000 x t_grid (alpha, t) grid of (a) and (b) is walked one alpha row
+    at a time into a few reused buffers of length t_grid, and an extremum
+    replaces the current witness only when strictly better, so each witness
+    is the first extremum of the grid in row-major order.
     """
     if t_grid < 100:
         raise ValueError(f"t_grid must be >= 100, got {t_grid}")
@@ -251,55 +240,36 @@ def verify_concavity_chain(t_grid: int = 10_000) -> SuiteReport:
 
     # Factors of t alone, once for the whole grid.
     coshw1 = _coshw1(ts)
-    ref_all = 2.0 * _arc(2.0, ts, coshw1) - 2.0 * _arc(1.0, ts, coshw1)
-    h = 0.01 * alphas
-    a_plus, a_minus, a_next = alphas + h, alphas - h, alphas + 1.0
-    n_small = int(np.count_nonzero(alphas <= 1.0))  # alphas increase: a prefix
+    ref = 2.0 * _arc(2.0, ts, coshw1) - 2.0 * _arc(1.0, ts, coshw1)
 
     worst_second = -math.inf
     worst_pt = None
     worst_incr = math.inf
     incr_pt = None
     worst_mono = math.inf
-    chunk, rows = 256, _ALPHA_BLOCK
-    # Flat buffers: a prefix reshaped to (block rows, chunk columns) is
-    # C-contiguous for every block, the short last ones included.
-    plus, minus, twice = (np.empty(rows * chunk) for _ in range(3))
-    carried = np.empty((rows + 1) * chunk)  # row 0: the previous block's last
-    for i in range(0, len(ts), chunk):
-        t, cw, ref = ts[i : i + chunk], coshw1[i : i + chunk], ref_all[i : i + chunk]
-        nc = len(t)
-        for r0 in range(0, len(alphas), rows):
-            r1 = min(r0 + rows, len(alphas))
-            nr = r1 - r0
-            f0 = _arc(alphas[r0:r1, None], t, cw, twice[: nr * nc].reshape(nr, nc))
-            np.multiply(f0, 2.0, out=f0)
-            second = _arc(a_plus[r0:r1, None], t, cw, plus[: nr * nc].reshape(nr, nc))
-            np.add(second, _arc(a_minus[r0:r1, None], t, cw, minus[: nr * nc].reshape(nr, nc)), out=second)
-            np.subtract(second, f0, out=second)
-            j = int(np.argmax(second))
-            if second.flat[j] > worst_second:
-                worst_second = float(second.flat[j])
-                jj = np.unravel_index(j, second.shape)
-                worst_pt = {"alpha": float(alphas[r0 + jj[0]]), "t": float(t[jj[1]])}
+    f0, second, spare, incr, prev = (np.empty(t_grid) for _ in range(5))
+    for i, alpha in enumerate(alphas):
+        h = 0.01 * alpha
+        np.multiply(_arc(alpha, ts, coshw1, f0), 2.0, out=f0)
+        np.add(_arc(alpha + h, ts, coshw1, second), _arc(alpha - h, ts, coshw1, spare), out=second)
+        np.subtract(second, f0, out=second)
+        j = int(np.argmax(second))
+        if second[j] > worst_second:
+            worst_second = float(second[j])
+            worst_pt = {"alpha": float(alpha), "t": float(ts[j])}
 
-            block = carried[: (nr + 1) * nc].reshape(nr + 1, nc)
-            incr = _arc(a_next[r0:r1, None], t, cw, block[1:])
-            np.multiply(incr, 2.0, out=incr)
-            np.subtract(incr, f0, out=incr)
-            ns = min(r1, n_small) - r0
-            if ns > 0:
-                gap_small = np.subtract(incr[:ns], ref, out=minus[: ns * nc].reshape(ns, nc))
-                j = int(np.argmin(gap_small))
-                if gap_small.flat[j] < worst_incr:
-                    worst_incr = float(gap_small.flat[j])
-                    jj = np.unravel_index(j, gap_small.shape)
-                    incr_pt = {"alpha": float(alphas[r0 + jj[0]]), "t": float(t[jj[1]])}
-            lo = 1 if r0 == 0 else 0  # a chunk's first row has no predecessor
-            if nr > lo:
-                drop = np.subtract(block[lo + 1 :], block[lo:nr], out=plus[: (nr - lo) * nc].reshape(nr - lo, nc))
-                worst_mono = min(worst_mono, float(np.min(np.negative(drop, out=drop))))
-            block[0] = block[nr]
+        np.multiply(_arc(alpha + 1.0, ts, coshw1, incr), 2.0, out=incr)
+        np.subtract(incr, f0, out=incr)
+        if alpha <= 1.0:
+            gap = np.subtract(incr, ref, out=spare)
+            j = int(np.argmin(gap))
+            if gap[j] < worst_incr:
+                worst_incr = float(gap[j])
+                incr_pt = {"alpha": float(alpha), "t": float(ts[j])}
+        if i:
+            drop = np.negative(np.subtract(incr, prev, out=spare), out=spare)
+            worst_mono = min(worst_mono, float(np.min(drop)))
+        incr, prev = prev, incr
 
     rep.add("arc-concave-in-winding", worst_second <= 1e-12, -worst_second, worst_pt)
     rep.add("unit-increment-dominates-below-1", worst_incr >= -1e-12, worst_incr, incr_pt)
@@ -308,7 +278,8 @@ def verify_concavity_chain(t_grid: int = 10_000) -> SuiteReport:
     us = 2.0 * np.cosh(0.5 * np.geomspace(1e-4, 5.0, t_grid)) ** 2
     g = 2.0 * np.arcsinh(2.0 * us) - 2.0 * np.arcsinh(us)
     inf_val = 2.0 * math.asinh(4.0) - 2.0 * math.asinh(2.0)
-    rep.add("asinh-difference-increasing-in-u", bool(np.all(np.diff(g[np.argsort(us)]) > 0.0)), float(np.min(np.diff(g[np.argsort(us)]))))
+    dg = np.diff(g[np.argsort(us)])
+    rep.add("asinh-difference-increasing-in-u", bool(np.all(dg > 0.0)), float(np.min(dg)))
     rep.add("asinh-difference-infimum", bool(np.all(g >= inf_val - 1e-12)), float(np.min(g) - inf_val), {"u_min": float(np.min(us))})
     rep.add("infimum-above-threshold", inf_val > CASE_SPLIT, inf_val - CASE_SPLIT)
 

@@ -68,7 +68,7 @@ def test_criterion_2_pants_formula_vs_oracle():
         P, C = pants.PantsBoundary(*ls), pants.CurveClass(m, n)
         worst = max(worst, abs(pants.gamma_mn_length(P, C) - pants.trace_length_oracle(P, C)))
     assert worst < 1e-9
-    _report(2, "pants formula vs holonomy oracle", t0, 5.0)
+    _report(2, "pants formula vs holonomy oracle", t0, 1.5)
 
 
 def test_criterion_3_corollary_minimum():
@@ -78,7 +78,7 @@ def test_criterion_3_corollary_minimum():
     assert abs(value - 2 * math.acosh(5.0)) < 1e-9
     assert (P.l1, P.l2, P.l3) == (0.0, 0.0, 0.0)
     assert (C.m, C.n) in {(1, 2), (2, 1)}
-    _report(3, "pants moduli minimum", t0, 30.0)
+    _report(3, "pants moduli minimum", t0, 0.5)
 
 
 def test_criterion_4_winding_lemmas():
@@ -92,7 +92,7 @@ def test_criterion_4_winding_lemmas():
         got = winding.collar_arc_length(winding.CollarArcQuery(W, core, width))
         worst = max(worst, abs(got - winding.saccheri_top_length(W, core, width)))
     assert worst < 1e-9
-    _report(4, "winding lemmas vs geometric oracles", t0, 5.0)
+    _report(4, "winding lemmas vs geometric oracles", t0, 0.5)
 
 
 def test_criterion_5_long_loop_bound_analysis():
@@ -104,7 +104,7 @@ def test_criterion_5_long_loop_bound_analysis():
     h0 = verifier.length_bound(bracket.root)
     assert h0 > 4.658544
     assert h0 > 4.584864
-    _report(5, "one-variable bound analysis", t0, 1.0)
+    _report(5, "one-variable bound analysis", t0, 0.5)
 
 
 def test_criterion_6_concavity_chain():
@@ -166,7 +166,7 @@ def test_criterion_8_corkscrew_family():
         w = "a" * k + "b"
         assert word_trace(w) == 2 * (2 * k + 1)  # exact integer trace
         assert self_intersection_count(w) == k
-    _report(8, "corkscrew family pattern", t0, 60.0)
+    _report(8, "corkscrew family pattern", t0, 0.5)
 
 
 def test_criterion_9_identity_suite():
@@ -175,4 +175,4 @@ def test_criterion_9_identity_suite():
     assert scan["gap_identity_max_abs_dev"] < 1e-12
     assert scan["w1_gt_w_on_0_20"]
     assert scan["w1_lt_2w_on_0_2.3"]
-    _report(9, "width identity suite", t0, 5.0)
+    _report(9, "width identity suite", t0, 0.5)

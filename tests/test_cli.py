@@ -115,6 +115,25 @@ def test_out_of_range_input_is_a_usage_error(capsys, argv):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, prefix",
+    [
+        (["collar", "--config", "{}/missing.cfg"], "hypcross: error: "),
+        (["constants", "--out", "{}/no/such/r.json"], "hypcross constants: error: "),
+        (["spectrum", "--max-word-len", "4", "--cap", "4.6", "--k", "2", "--cache", "{}/no/such/c.tsv"], "hypcross spectrum: error: "),
+    ],
+    ids=["config", "out", "cache"],
+)
+def test_bad_path_is_a_usage_error(tmp_path, capsys, argv, prefix):
+    code = main([arg.format(tmp_path) for arg in argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.startswith(prefix)
+    assert "No such file or directory" in err
+    assert err.count("\n") == 1
+
+
 def test_verify_passes(capsys):
     code, out = run(capsys, "verify")
     assert code == 0

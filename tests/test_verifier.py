@@ -195,16 +195,22 @@ def _chunked_concavity_chain(t_grid: int) -> SuiteReport:
 
 @pytest.mark.parametrize("t_grid", [100, 256, 257, 1000, 2000])
 def test_concavity_chain_matches_whole_chunk_reference(t_grid):
-    # one chunk, exactly one, one column past it, several chunks
+    # the reference's chunk edges: one chunk, exactly one, one column past
+    # it, several chunks; the audit itself walks whole alpha rows
     assert verify_concavity_chain(t_grid).as_dict() == _chunked_concavity_chain(t_grid).as_dict()
 
 
-@pytest.mark.parametrize("rows", [1, 7, 1000])
-def test_concavity_chain_independent_of_row_block(monkeypatch, rows):
-    # one row per block puts every difference along alpha across a block edge
-    want = _chunked_concavity_chain(300).as_dict()
-    monkeypatch.setattr(verifier, "_ALPHA_BLOCK", rows)
-    assert verify_concavity_chain(300).as_dict() == want
+def test_concavity_chain_reports_a_convex_arc(monkeypatch):
+    # sinh(s*t)*coshw1 is convex in s, so check (a) must fail; its worst
+    # point is the grid's last row and column, which pins both indices
+    def convex_arc(s, t, coshw1, out=None):
+        x = np.multiply(s, t, out=out)
+        x = np.sinh(x, out=out)
+        return np.multiply(x, coshw1, out=out)
+
+    monkeypatch.setattr(verifier, "_arc", convex_arc)
+    with pytest.raises(ChainViolation, match=r"arc-concave-in-winding failed at \{'alpha': 6\.0, 't': 0\.53\}"):
+        verify_concavity_chain(100)
 
 
 def test_case1_chain_report():
