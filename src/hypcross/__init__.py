@@ -1,7 +1,8 @@
 """hypcross: lengths and self-crossings of closed geodesics on hyperbolic
 surfaces.
 
-Submodules:
+Submodules (``import hypcross`` loads only the numpy-free halfplane, words,
+selfint and spectrum; import the numeric ones, which need numpy, by name):
   halfplane  -- isometries, distance, axes, trace-length dictionary, and
                 the 2x2 tuple kernel (mat_mul, mat_inv, mat_pow, moebius,
                 moebius_point, fixed_points) shared by words, selfint, pants
@@ -25,10 +26,6 @@ from .halfplane import (
     dist,
     translation_length,
 )
-from .collar import CollarProfile, collar_width, cusp_horocycle_bound, generalized_width, hexagon_gap, wide_width
-from .pants import CurveClass, PantsBoundary, chebyshev_ratio, gamma_mn_length, minimize_over_moduli, pants_holonomy, trace_length_oracle
-from .winding import CollarArcQuery, CuspArcQuery, collar_arc_length, cusp_arc_length, cusp_winding_from_length, winding_from_length
-from .verifier import constants, find_bound_minimum, length_bound, length_bound_deriv, verify_case1_chain, verify_concavity_chain
 from .words import canonical_class, enumerate_classes, word_trace
 from .selfint import self_intersection_count, tracer_count
 from .spectrum import SpectrumEntry, spectrum

@@ -7,6 +7,9 @@ tab-separated table instead.  Exit codes: 0 success, 1 failed checks,
 out-of-range input and an OSError on a bad --config, --out or --cache path
 (each reported as one line on stderr, without a traceback).
 
+The numeric modules (collar, pants, winding, verifier) are imported inside the
+subcommands that use them, so spectrum runs without loading numpy.
+
 An optional key=value config file (--config FILE) supplies flag defaults with
 the same names; explicit flags win.
 """
@@ -18,7 +21,7 @@ import json
 import math
 import sys
 
-from . import __version__, collar, pants, verifier, winding
+from . import __version__
 from .spectrum import min_witness, spectrum as compute_spectrum
 
 
@@ -33,19 +36,24 @@ def _document(command: str, config: dict, results: dict) -> str:
 
 
 def _emit(text: str, out: str | None) -> None:
-    print(text)
+    """Write --out first, so a bad path prints nothing on stdout."""
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
+    print(text)
 
 
 def _cmd_constants(args) -> int:
+    from . import verifier
+
     tab = verifier.constants()
     _emit(_document("constants", {}, tab.as_dict(corkscrew_up_to=8)), args.out)
     return 0
 
 
 def _cmd_collar(args) -> int:
+    from . import collar
+
     x = args.length
     w = collar.collar_width(x)
     w1, narrow = collar.generalized_width(x)
@@ -69,6 +77,8 @@ def _cmd_collar(args) -> int:
 
 
 def _cmd_pants_length(args) -> int:
+    from . import pants
+
     P = pants.PantsBoundary(args.l1, args.l2, args.l3)
     C = pants.CurveClass(args.m, args.n)
     value = pants.gamma_mn_length(P, C)
@@ -83,6 +93,8 @@ def _cmd_pants_length(args) -> int:
 
 
 def _cmd_pants_min(args) -> int:
+    from . import pants
+
     P, C, value = pants.minimize_over_moduli(args.cap, args.lmax, args.grid)
     target = 2.0 * math.acosh(5.0)
     results = {
@@ -98,6 +110,8 @@ def _cmd_pants_min(args) -> int:
 
 
 def _cmd_winding(args) -> int:
+    from . import winding
+
     if args.collar == args.cusp:
         print("exactly one of --collar / --cusp is required", file=sys.stderr)
         return 2
@@ -131,6 +145,8 @@ def _cmd_winding(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verifier
+
     rep = verifier.run_verify_suite()
     _emit(_document("verify", rep.config, rep.as_dict()), args.out)
     return 0 if rep.passed else 1

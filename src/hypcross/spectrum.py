@@ -129,8 +129,12 @@ def _cache_key(max_len: int, length_cap: float) -> str:
 
 def _write_cache(path: str, key: str, entries: list[SpectrumEntry]) -> None:
     """Write to a temporary file beside ``path``, then rename it into place,
-    so a reader never sees a half-written cache."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+    so a reader never sees a half-written cache.  A failure to create the
+    temporary file is reported against ``path``, the name the caller gave."""
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from exc
     try:
         with os.fdopen(fd, "w", encoding="ascii") as fh:
             fh.write(key + "\n")

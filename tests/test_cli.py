@@ -1,5 +1,10 @@
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -125,13 +130,18 @@ def test_out_of_range_input_is_a_usage_error(capsys, argv):
     ids=["config", "out", "cache"],
 )
 def test_bad_path_is_a_usage_error(tmp_path, capsys, argv, prefix):
-    code = main([arg.format(tmp_path) for arg in argv])
-    err = capsys.readouterr().err
+    argv = [arg.format(tmp_path) for arg in argv]
+    code = main(argv)
+    out, err = capsys.readouterr()
     assert code == 2
+    assert out == ""
     assert "Traceback" not in err
     assert err.startswith(prefix)
     assert "No such file or directory" in err
     assert err.count("\n") == 1
+    # the error names the path given on the command line, not a temp file
+    assert repr(argv[-1]) in err
+    assert ".tmp'" not in err
 
 
 def test_verify_passes(capsys):
@@ -177,3 +187,42 @@ def test_spectrum_cache_flag(tmp_path, capsys):
     assert cache.exists()
     _, second = run(capsys, "spectrum", "--max-word-len", "4", "--cap", "4.6", "--k", "2", "--cache", str(cache))
     assert first == second
+
+
+NUMPY_BLOCKED = """
+import sys
+sys.modules["numpy"] = None
+import hypcross
+import hypcross.selfint, hypcross.words
+from hypcross import spectrum
+from hypcross.cli import main
+assert spectrum is sys.modules["hypcross.spectrum"].spectrum
+code = main(["spectrum", "--max-word-len", "8", "--cap", "4.585", "--k", "2"])
+sys.exit(code)
+"""
+
+
+def test_spectrum_runs_without_numpy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_BLOCKED],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    # the output of the same command with numpy available
+    assert hashlib.sha256(proc.stdout).hexdigest() == "bfb464aa61591de0495144ef848d2c295cbed4b311bee5a39b9405eb39737a0e"
+
+
+def test_numeric_modules_import_by_name():
+    import hypcross
+    from hypcross import collar, pants, verifier, winding
+
+    assert (collar.__name__, pants.__name__, verifier.__name__, winding.__name__) == (
+        "hypcross.collar",
+        "hypcross.pants",
+        "hypcross.verifier",
+        "hypcross.winding",
+    )
+    assert hypcross.verifier is verifier
