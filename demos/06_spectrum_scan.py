@@ -1,17 +1,19 @@
 """Bottom of the length spectrum of the three-cusp sphere, with crossing
-counts from two independent algorithms.
+counts from three algorithms.
 
 Conjugacy classes of the rank-2 holonomy group are cyclically reduced words;
 traces are exact integers, so lengths are exact.  Self-intersection numbers
 come from (a) counting linked pairs of corners of the cyclic word, in exact
-integers, and (b) tracing the geodesic through the fundamental domain and
-counting transverse arc crossings.  The shortest class with two crossings is
-the double corkscrew aab, exactly at 2log(5+2 sqrt 6).
+integers, (b) counting interleaved axes of the word's rotations on the
+boundary, in exact integers, and (c) tracing the geodesic through the
+fundamental domain and counting transverse arc crossings.  The shortest
+class with two crossings is the double corkscrew aab, exactly at
+2log(5+2 sqrt 6).
 """
 
 import math
 
-from hypcross.selfint import self_intersection_count, tracer_count
+from hypcross.selfint import boundary_count, self_intersection_count, tracer_count
 from hypcross.spectrum import min_witness, spectrum
 from hypcross.words import enumerate_classes, word_trace
 
@@ -22,7 +24,8 @@ for k in range(1, 7):
     w = "a" * k + "b"
     print(
         f"  {w:9s} trace {word_trace(w):3d}  length {2*math.acosh(word_trace(w)/2):.6f}"
-        f"  crossings {self_intersection_count(w)} (exact) / {tracer_count(w)} (tracer)"
+        f"  crossings {self_intersection_count(w)} (exact) / {boundary_count(w)} (boundary)"
+        f" / {tracer_count(w)} (tracer)"
     )
 
 cap = 2 * math.acosh(5.0) + 1e-6

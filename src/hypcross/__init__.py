@@ -11,7 +11,8 @@ selfint and spectrum; import the numeric ones, which need numpy, by name):
   winding    -- arc length <-> winding number dictionary for collars and cusps
   verifier   -- grid audits of the sharp-bound inequality chains
   words      -- rank-2 free-group words and conjugacy classes
-  selfint    -- self-intersection counts (exact linked pairs and tracer)
+  selfint    -- self-intersection counts (exact linked pairs, exact boundary
+                interleaving, and tracer)
   spectrum   -- bottom of the length spectrum of the three-cusp sphere
 """
 
@@ -27,7 +28,7 @@ from .halfplane import (
     translation_length,
 )
 from .words import canonical_class, enumerate_classes, word_trace
-from .selfint import self_intersection_count, tracer_count
+from .selfint import boundary_count, self_intersection_count, tracer_count
 from .spectrum import SpectrumEntry, spectrum
 
 __version__ = "0.1.0"

@@ -1,5 +1,5 @@
 """Self-intersection counts of closed geodesics on the three-cusp sphere,
-computed two independent ways.
+computed three ways: two exact integer counts and a float tracer.
 
 Exact method (linked pairs; Cohen & Lustig 1987): the surface retracts onto
 a one-vertex ribbon graph with the two loops a and b, whose four half-edges
@@ -17,6 +17,23 @@ of distinct corners (X, Y) that does not continue a shared stretch backward
 Each crossing is found from both of its corners, so the count is half the
 number of linked pairs.  It uses only integers and costs O(n^2) per word
 plus the stretch lengths, which stay below n for a primitive word.
+
+Boundary method (interleaving; exact): the rotation r_i = w[i:] + w[:i] is
+the lift of the geodesic through the corner before position i, and its axis
+has the endpoints (a - d +- sqrt(D)) / 2c on the real line, where (a, b, c, d)
+is the integer matrix of r_i and D = t^2 - 4 for the common trace t (c is
+never 0 for a hyperbolic element of the group).  Two axes cross exactly when
+their endpoint pairs interleave, that is when their half-circles, of centres
+(a - d) / 2c and radii sqrt(D) / 2|c|, meet: the distance between the
+centres lies strictly between the difference and the sum of the radii.
+Scaled by 2|c c'|, that is (|c| - |c'|)^2 D < p^2 < (|c| + |c'|)^2 D with the
+integer p = (a - d) c' - (a' - d') c, so the test needs no square root.
+The ordered pairs of corners are screened by the linked-pairs pair rule
+(X's incoming half-edge is not one of Y's), which keeps one corner pair of
+each crossing from each side; the count is half the interleaved pairs.
+Each rotation's matrix is the previous one conjugated by one generator.
+This count reads linkage from the group's action on the boundary, the
+linked-pairs count from the ribbon order: only the pair rule is shared.
 
 Tracer method: march the axis through the standard fundamental domain
 {|Re z| <= 1, |2z-1| >= 1, |2z+1| >= 1}, re-entering through the side
@@ -38,8 +55,9 @@ The screen is exact: all three tested points lie on that line, and no point
 of a line is nearer p than the line is, so a dropped p is one where all three
 tests are false.  The factor 2 covers rounding.
 
-Both counters share the word checks (_check_word), which build the integer
-word matrix once; only the tracer reads it, as floats.
+All three counters share the word checks (_check_word), which build the
+integer word matrix once; the boundary count reads it exactly, the tracer as
+floats, and the linked-pairs count not at all.
 """
 
 from __future__ import annotations
@@ -48,7 +66,7 @@ import math
 from math import comb, inf as INF
 
 from .halfplane import complex_dist, fixed_points, length_from_trace, mat_mul, moebius, moebius_point
-from .words import INVERSE, LETTERS, is_cyclically_reduced, is_primitive, word_matrix
+from .words import GEN_MAT, INVERSE, LETTERS, is_cyclically_reduced, is_primitive, word_matrix
 
 
 class DegenerateCrossing(RuntimeError):
@@ -60,11 +78,11 @@ class TracerError(RuntimeError):
 
 
 class NotPrimitiveWord(ValueError):
-    """The exact count requires a primitive (non-power) word."""
+    """The exact counts require a primitive (non-power) word."""
 
 
 def _check_word(w: str) -> tuple[int, int, int, int]:
-    """Shared start of both counters: w must be a cyclically reduced
+    """Shared start of all three counters: w must be a cyclically reduced
     hyperbolic word over LETTERS.  Returns its integer matrix."""
     if not w or any(ch not in LETTERS for ch in w):
         raise ValueError(f"not a word over {LETTERS!r}: {w!r}")
@@ -125,6 +143,36 @@ def self_intersection_count(w: str) -> int:
             linked += _before(x_out, *start) == _before(in2[i + m - 1], *far)
     if linked % 2:
         raise RuntimeError(f"odd number {linked} of linked pairs for {w!r}")
+    return linked // 2
+
+
+# ------------------------------------------------------- boundary count
+
+def boundary_count(w: str) -> int:
+    """Self-intersection number of the closed geodesic of a primitive
+    cyclically reduced hyperbolic word, by exact interleaving of the axes of
+    its rotations on the boundary (see the module docstring).  Integers
+    only.  Raises NotPrimitiveWord for a proper power."""
+    m = _check_word(w)
+    if not is_primitive(w):
+        raise NotPrimitiveWord(f"word is a proper power: {w!r}")
+    disc = (m[0] + m[3]) ** 2 - 4
+    # per rotation r_i: a - d, c and |c|, which fix its axis's centre and radius
+    axes = []
+    for ch in w:
+        axes.append((m[0] - m[3], m[2], abs(m[2])))
+        m = mat_mul(mat_mul(GEN_MAT[INVERSE[ch]], m), GEN_MAT[ch])  # r_(i+1)
+    # the pair rule: corner j is paired with corner i when i's incoming
+    # half-edge is neither of j's, which leaves out j == i itself
+    ins = [INVERSE[ch] for ch in w[-1] + w[:-1]]
+    paired = {x: [ax for ax, y_in, y_out in zip(axes, ins, w) if x != y_in and x != y_out] for x in set(ins)}
+    linked = 0
+    for (e, c, r), x_in in zip(axes, ins):
+        for f, g, s in paired[x_in]:
+            p = e * g - f * c
+            linked += (r - s) ** 2 * disc < p * p < (r + s) ** 2 * disc
+    if linked % 2:
+        raise RuntimeError(f"odd number {linked} of interleaved pairs for {w!r}")
     return linked // 2
 
 

@@ -3,8 +3,9 @@ self-intersection counts, plus the plain-text cache format.
 
 Every conjugacy class of the rank-2 parabolic holonomy group yields an
 integer trace and a geodesic length 2*acosh(|tr|/2); classes up to a length
-cap get their self-intersection number from both counting methods (primitive
-words) or from the tracer alone (proper powers).
+cap get their self-intersection number from the two exact counts, linked
+pairs and boundary interleaving (primitive words), or from the tracer alone
+(proper powers).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import tempfile
 from dataclasses import dataclass
 
 from .halfplane import length_from_trace
-from .selfint import TRACER_TOL, self_intersection_count, tracer_count
+from .selfint import TRACER_TOL, boundary_count, self_intersection_count, tracer_count
 from .words import enumerate_classes, is_primitive, word_key, word_trace
 
 # version of the cache file layout; part of the header key
@@ -26,7 +27,7 @@ MAX_WORD_LEN = 12
 
 
 class MethodDisagreement(RuntimeError):
-    """The exact and tracer counts differ for the same class."""
+    """The linked-pairs and boundary counts differ for the same class."""
 
 
 @dataclass(frozen=True)
@@ -35,7 +36,7 @@ class SpectrumEntry:
     trace: float
     length: float
     self_intersections: int
-    count_method: str  # both (exact and tracer agree) | tracer (proper powers)
+    count_method: str  # both (linked-pairs and boundary counts agree) | tracer (proper powers)
 
     def sort_key(self):
         return (self.length, word_key(self.word))
@@ -44,9 +45,9 @@ class SpectrumEntry:
 def _count_class(w: str) -> tuple[int, str]:
     if is_primitive(w):
         exact = self_intersection_count(w)
-        tr = tracer_count(w)
-        if exact != tr:
-            raise MethodDisagreement(f"{w!r}: exact {exact} != tracer {tr}")
+        boundary = boundary_count(w)
+        if exact != boundary:
+            raise MethodDisagreement(f"{w!r}: exact {exact} != boundary {boundary}")
         return exact, "both"
     return tracer_count(w), "tracer"
 
@@ -65,11 +66,14 @@ def spectrum(max_len: int, length_cap: float, k_min: int, cache_path: str | None
     max_len; max_len only bites when it is below that reachable length.
 
     Primitive classes are counted by the exact linked-pairs count and by the
-    tracer at tolerance TRACER_TOL, which must agree; proper powers by the
-    tracer alone.  The cache header keeps the layout caches have always used,
-    cutoff=default tol=TRACER_TOL: cutoff=default named the double-coset
-    counter the exact count replaced with identical counts, so caches
-    written by earlier versions still hit."""
+    exact boundary count, which must agree (MethodDisagreement otherwise);
+    proper powers by the tracer alone, at tolerance TRACER_TOL.  The cache
+    header keeps the layout caches have always used, cutoff=default
+    tol=TRACER_TOL: cutoff=default named the double-coset counter the
+    linked-pairs count replaced with identical counts, and tol= now matters
+    for proper powers only.  Every entry an earlier version wrote is one the
+    exact counts give too (earlier versions raised wherever their tracer was
+    wrong), so their caches still hit."""
     if max_len > MAX_WORD_LEN:
         raise ValueError(f"max_len must be <= {MAX_WORD_LEN}, got {max_len}")
 

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from math import comb
 from pathlib import Path
 
@@ -13,10 +14,20 @@ from hypcross.selfint import (
     TracerError,
     _Line,
     _screen,
+    boundary_count,
     self_intersection_count,
     tracer_count,
 )
-from hypcross.words import enumerate_classes, is_primitive, mirror_word, primitive_root, rotations, word_trace
+from hypcross.words import (
+    INVERSE,
+    LETTERS,
+    enumerate_classes,
+    is_primitive,
+    mirror_word,
+    primitive_root,
+    rotations,
+    word_trace,
+)
 
 
 def test_figure_eight():
@@ -189,3 +200,47 @@ def test_length_twelve_class_where_default_tracer_overcounts():
     w = "aaaabbbaBabb"
     assert self_intersection_count(w) == 14
     assert tracer_count(w, tol=1e-8) == 14
+
+
+def _random_primitive_word(rng: random.Random, n: int) -> str:
+    """A uniformly drawn reduced word of length n, redrawn until it is
+    cyclically reduced and primitive (hence hyperbolic for n >= 3)."""
+    while True:
+        w = rng.choice(LETTERS)
+        while len(w) < n:
+            w += rng.choice([ch for ch in LETTERS if ch != INVERSE[w[-1]]])
+        if w[0] != INVERSE[w[-1]] and is_primitive(w):
+            return w
+
+
+def test_boundary_count_matches_exact_count_through_length_twelve():
+    # every primitive class through length 8, a seeded sample of words of
+    # lengths 9 to 12, and the length-12 classes where the default tracer
+    # fails; CI checks all 34,851 classes through length 12
+    words = [w for w in enumerate_classes(8) if is_primitive(w)]
+    rng = random.Random(11)
+    words += [_random_primitive_word(rng, n) for n in range(9, 13) for _ in range(60)]
+    words += list(_TOLERANCE_EDGE)
+    for w in words:
+        assert boundary_count(w) == self_intersection_count(w), w
+
+
+def test_boundary_count_matches_exact_count_on_long_words():
+    rng = random.Random(20)
+    for n in range(20, 161, 20):
+        for _ in range(2):
+            w = _random_primitive_word(rng, n)
+            assert boundary_count(w) == self_intersection_count(w), w
+
+
+@pytest.mark.parametrize(
+    "w, error",
+    [("", ValueError), ("aA", ValueError), ("aB", ValueError), ("xy", ValueError), ("bA", ValueError),
+     ("abab", NotPrimitiveWord)],
+)
+def test_boundary_count_rejects_what_the_exact_count_rejects(w, error):
+    with pytest.raises(error) as exact:
+        self_intersection_count(w)
+    with pytest.raises(error) as boundary:
+        boundary_count(w)
+    assert type(boundary.value) is type(exact.value) is error

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from hypcross.spectrum import MAX_WORD_LEN, min_witness, reachable_word_length, spectrum
+from hypcross.spectrum import MAX_WORD_LEN, MethodDisagreement, min_witness, reachable_word_length, spectrum
 from hypcross.words import GEN_MAT, enumerate_classes, word_key, word_trace
 
 # the package rebinds the name hypcross.spectrum to the function
@@ -61,6 +61,22 @@ def test_powers_use_tracer_only():
     assert by_word["abab"].count_method == "tracer"
     assert by_word["abab"].self_intersections == 6
     assert by_word["ab"].count_method == "both"
+
+
+@pytest.mark.parametrize(
+    "w, count",
+    [("aaaabbbaBabb", 14), ("aababababAAB", 31), ("abaBABBabABB", 26), ("abaBBAbaBBAB", 26)],
+)
+def test_primitive_classes_the_default_tracer_gets_wrong(w, count):
+    # the tracer at its default tolerance overcounts the first two and raises
+    # on the last two; the two exact counts agree on each
+    assert spectrum_module._count_class(w) == (count, "both")
+
+
+def test_counter_disagreement_raises(monkeypatch):
+    monkeypatch.setattr(spectrum_module, "boundary_count", lambda w: 3)
+    with pytest.raises(MethodDisagreement, match="'aab': exact 2 != boundary 3"):
+        spectrum_module._count_class("aab")
 
 
 def test_cache_roundtrip(tmp_path):
