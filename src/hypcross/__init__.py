@@ -14,6 +14,7 @@ selfint and spectrum; import the numeric ones, which need numpy, by name):
   selfint    -- self-intersection counts (exact linked pairs, exact boundary
                 interleaving, and tracer)
   spectrum   -- bottom of the length spectrum of the three-cusp sphere
+                (the module: call hypcross.spectrum.spectrum)
 """
 
 from .halfplane import (
@@ -29,6 +30,6 @@ from .halfplane import (
 )
 from .words import canonical_class, enumerate_classes, word_trace
 from .selfint import boundary_count, self_intersection_count, tracer_count
-from .spectrum import SpectrumEntry, spectrum
+from . import spectrum
 
 __version__ = "0.1.0"

@@ -4,8 +4,7 @@ self-intersection counts, plus the plain-text cache format.
 Every conjugacy class of the rank-2 parabolic holonomy group yields an
 integer trace and a geodesic length 2*acosh(|tr|/2); classes up to a length
 cap get their self-intersection number from the two exact counts, linked
-pairs and boundary interleaving (primitive words), or from the tracer alone
-(proper powers).
+pairs and boundary interleaving, of the class's primitive root.
 """
 
 from __future__ import annotations
@@ -13,13 +12,15 @@ from __future__ import annotations
 import os
 import tempfile
 from dataclasses import dataclass
+from math import comb
 
 from .halfplane import length_from_trace
-from .selfint import TRACER_TOL, boundary_count, self_intersection_count, tracer_count
-from .words import enumerate_classes, is_primitive, word_key, word_trace
+from .selfint import boundary_count, self_intersection_count
+from .selfint import tracer_count  # not called here: bench/workloads.py times it under this name
+from .words import enumerate_classes, primitive_root, word_key, word_trace
 
 # version of the cache file layout; part of the header key
-CACHE_FORMAT = 2
+CACHE_FORMAT = 3
 
 # largest word length spectrum accepts; every hyperbolic class up to it has
 # |trace| >= 2 * (word length), checked class by class in tests/test_words.py
@@ -36,20 +37,21 @@ class SpectrumEntry:
     trace: float
     length: float
     self_intersections: int
-    count_method: str  # both (linked-pairs and boundary counts agree) | tracer (proper powers)
+    count_method: str  # both (linked-pairs and boundary counts agree) | power (C(2k, 2) times the root's count)
 
     def sort_key(self):
         return (self.length, word_key(self.word))
 
 
 def _count_class(w: str) -> tuple[int, str]:
-    if is_primitive(w):
-        exact = self_intersection_count(w)
-        boundary = boundary_count(w)
-        if exact != boundary:
-            raise MethodDisagreement(f"{w!r}: exact {exact} != boundary {boundary}")
-        return exact, "both"
-    return tracer_count(w), "tracer"
+    """Count w = v^k from its primitive root v: C(2k, 2) * i(v), the frozen
+    convention tracer_count documents, which is i(v) itself when k = 1."""
+    v, k = primitive_root(w)
+    exact = self_intersection_count(v)
+    boundary = boundary_count(v)
+    if exact != boundary:
+        raise MethodDisagreement(f"{v!r}: exact {exact} != boundary {boundary}")
+    return comb(2 * k, 2) * exact, "both" if k == 1 else "power"
 
 
 def spectrum(max_len: int, length_cap: float, k_min: int, cache_path: str | None = None) -> list[SpectrumEntry]:
@@ -65,15 +67,10 @@ def spectrum(max_len: int, length_cap: float, k_min: int, cache_path: str | None
     2*acosh(5).  The entries are those of a filter over every class through
     max_len; max_len only bites when it is below that reachable length.
 
-    Primitive classes are counted by the exact linked-pairs count and by the
-    exact boundary count, which must agree (MethodDisagreement otherwise);
-    proper powers by the tracer alone, at tolerance TRACER_TOL.  The cache
-    header keeps the layout caches have always used, cutoff=default
-    tol=TRACER_TOL: cutoff=default named the double-coset counter the
-    linked-pairs count replaced with identical counts, and tol= now matters
-    for proper powers only.  Every entry an earlier version wrote is one the
-    exact counts give too (earlier versions raised wherever their tracer was
-    wrong), so their caches still hit."""
+    Each class v^k is counted from its primitive root v by the exact
+    linked-pairs count and the exact boundary count, which must agree
+    (MethodDisagreement otherwise), as C(2k, 2) * i(v).  The cache is keyed
+    by (max_len, length_cap) and CACHE_FORMAT."""
     if max_len > MAX_WORD_LEN:
         raise ValueError(f"max_len must be <= {MAX_WORD_LEN}, got {max_len}")
 
@@ -122,13 +119,8 @@ def min_witness(entries: list[SpectrumEntry], k_min: int) -> SpectrumEntry | Non
 # ------------------------------------------------------------------ cache
 
 def _cache_key(max_len: int, length_cap: float) -> str:
-    """Header line naming every input that changes the entries, the fixed
-    counter settings included, in the layout older caches were keyed by
-    (cutoff=default is kept for them only)."""
-    return (
-        f"# max_len={max_len} length_cap={length_cap!r} "
-        f"cutoff=default tol={TRACER_TOL!r} format={CACHE_FORMAT}"
-    )
+    """Header line naming every input that changes the entries."""
+    return f"# max_len={max_len} length_cap={length_cap!r} format={CACHE_FORMAT}"
 
 
 def _write_cache(path: str, key: str, entries: list[SpectrumEntry]) -> None:

@@ -101,12 +101,13 @@ def is_primitive(w: str) -> bool:
 
 
 def primitive_root(w: str) -> tuple[str, int]:
-    """Shortest v and exponent k with w = v^k (k = 1 for primitive words)."""
+    """Shortest v and exponent k with w = v^k (k = 1 for primitive words).
+    The empty word has no root: ValueError."""
     n = len(w)
     for d in range(1, n + 1):
         if n % d == 0 and w == w[:d] * (n // d):
             return w[:d], n // d
-    raise AssertionError("unreachable")
+    raise ValueError("the empty word has no primitive root")
 
 
 def word_matrix(w: str) -> tuple[int, int, int, int]:

@@ -196,7 +196,7 @@ import hypcross
 import hypcross.selfint, hypcross.words
 from hypcross import spectrum
 from hypcross.cli import main
-assert spectrum is sys.modules["hypcross.spectrum"].spectrum
+assert spectrum is sys.modules["hypcross.spectrum"]
 code = main(["spectrum", "--max-word-len", "8", "--cap", "4.585", "--k", "2"])
 sys.exit(code)
 """

@@ -1,13 +1,11 @@
-import importlib
 import math
 
 import pytest
 
+import hypcross.spectrum as spectrum_module
+from hypcross.selfint import tracer_count
 from hypcross.spectrum import MAX_WORD_LEN, MethodDisagreement, min_witness, reachable_word_length, spectrum
-from hypcross.words import GEN_MAT, enumerate_classes, word_key, word_trace
-
-# the package rebinds the name hypcross.spectrum to the function
-spectrum_module = importlib.import_module("hypcross.spectrum")
+from hypcross.words import GEN_MAT, enumerate_classes, is_primitive, word_key, word_trace
 
 M1 = 2 * math.acosh(3.0)
 M2 = 2 * math.acosh(5.0)
@@ -54,12 +52,15 @@ def test_entries_sorted_and_complete():
     assert {"ab", "aaB", "aBB", "aab"} <= words
 
 
-def test_powers_use_tracer_only():
-    entries = spectrum(4, 7.1, 1)
-    by_word = {e.word: e for e in entries}
-    assert "abab" in by_word
-    assert by_word["abab"].count_method == "tracer"
-    assert by_word["abab"].self_intersections == 6
+def test_powers_count_as_c2k2_times_root_and_match_tracer():
+    # every proper-power class through length 12 (k = 2..6): C(2k, 2) times
+    # the root's exact count equals the tracer's frozen convention
+    powers = [w for w in enumerate_classes(12) if not is_primitive(w)]
+    assert len(powers) == 117
+    for w in powers:
+        assert spectrum_module._count_class(w) == (tracer_count(w), "power"), w
+    by_word = {e.word: e for e in spectrum(4, 7.1, 1)}
+    assert (by_word["abab"].self_intersections, by_word["abab"].count_method) == (6, "power")
     assert by_word["ab"].count_method == "both"
 
 
@@ -79,15 +80,31 @@ def test_counter_disagreement_raises(monkeypatch):
         spectrum_module._count_class("aab")
 
 
+def test_power_counter_disagreement_raises(monkeypatch):
+    # a power is checked on its root: both counts of ab must agree
+    monkeypatch.setattr(spectrum_module, "boundary_count", lambda w: 2 if w == "ab" else 1)
+    with pytest.raises(MethodDisagreement, match="'ab': exact 1 != boundary 2"):
+        spectrum_module._count_class("abab")
+
+
 def test_cache_roundtrip(tmp_path):
     path = tmp_path / "spec.tsv"
     first = spectrum(6, 5.0, 2, cache_path=str(path))
     assert path.exists()
     header = path.read_text().splitlines()[0]
-    # the layout caches have always been keyed by: older files still hit
-    assert header == "# max_len=6 length_cap=5.0 cutoff=default tol=1e-06 format=2"
+    assert header == "# max_len=6 length_cap=5.0 format=3"
     again = spectrum(6, 5.0, 2, cache_path=str(path))
     assert again == first
+
+
+def test_format_2_cache_is_recomputed(tmp_path):
+    # a file an earlier version wrote, with a planted wrong count, misses
+    path = tmp_path / "spec.tsv"
+    path.write_text("# max_len=6 length_cap=5.0 cutoff=default tol=1e-06 format=2\nab\t6.0\t3.525494348078172\t7\tboth\n")
+    entries = spectrum(6, 5.0, 2, cache_path=str(path))
+    assert entries == spectrum(6, 5.0, 2)
+    assert path.read_text().splitlines()[0] == "# max_len=6 length_cap=5.0 format=3"
+    assert spectrum(6, 5.0, 2, cache_path=str(path)) == entries
 
 
 def test_cache_key_mismatch_recomputes(tmp_path):

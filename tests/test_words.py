@@ -199,3 +199,6 @@ def test_primitivity():
     assert not is_primitive("aabaab")
     assert primitive_root("ababab") == ("ab", 3)
     assert primitive_root("aab") == ("aab", 1)
+    assert is_primitive("")
+    with pytest.raises(ValueError):
+        primitive_root("")
