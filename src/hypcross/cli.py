@@ -47,7 +47,7 @@ def _cmd_constants(args) -> int:
     from . import verifier
 
     tab = verifier.constants()
-    _emit(_document("constants", {}, tab.as_dict(corkscrew_up_to=8)), args.out)
+    _emit(_document("constants", {}, tab.as_dict()), args.out)
     return 0
 
 

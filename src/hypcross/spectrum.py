@@ -17,7 +17,7 @@ from math import comb
 from .halfplane import length_from_trace
 from .selfint import boundary_count, self_intersection_count
 from .selfint import tracer_count  # not called here: bench/workloads.py times it under this name
-from .words import enumerate_classes, primitive_root, word_key, word_trace
+from .words import enumerate_classes, primitive_root, word_trace
 
 # version of the cache file layout; part of the header key
 CACHE_FORMAT = 3
@@ -38,9 +38,6 @@ class SpectrumEntry:
     length: float
     self_intersections: int
     count_method: str  # both (linked-pairs and boundary counts agree) | power (C(2k, 2) times the root's count)
-
-    def sort_key(self):
-        return (self.length, word_key(self.word))
 
 
 def _count_class(w: str) -> tuple[int, str]:
@@ -87,7 +84,8 @@ def spectrum(max_len: int, length_cap: float, k_min: int, cache_path: str | None
             count, method = _count_class(w)
             entries.append(SpectrumEntry(w, float(tr), length, count, method))
 
-    entries.sort(key=SpectrumEntry.sort_key)
+    # enumerate_classes yields word_key order, which this stable sort keeps on ties
+    entries.sort(key=lambda e: e.length)
     if cache_path:
         _write_cache(cache_path, key, entries)
     return entries

@@ -11,7 +11,9 @@ Two chains are audited on dense grids:
   2 asinh 4 - 2 asinh 2 > 1.06.
 
 All checks return structured reports (pass flag, margin, witness point);
-violations raise with the offending grid point.
+violations raise with the offending grid point.  A margin is the check's
+headroom, tolerance included, and a check passes exactly when its margin is
+positive.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ def corkscrew_length(k: int) -> float:
 
 
 CASE_SPLIT = 1.06  # threshold separating the two proof cases
+CORKSCREW_TABLE_LEN = 8  # corkscrews k = 1..8 in the constants table
 
 
 @dataclass(frozen=True)
@@ -65,13 +68,13 @@ class ConstantsTable:
     gap: float
     case_split: float
 
-    def as_dict(self, corkscrew_up_to: int = 8) -> dict:
+    def as_dict(self) -> dict:
         return {
             "bound_one_crossing": self.bound_one_crossing,
             "bound_two_crossings": self.bound_two_crossings,
             "gap": self.gap,
             "case_split": self.case_split,
-            "corkscrew_lengths": {str(k): corkscrew_length(k) for k in range(1, corkscrew_up_to + 1)},
+            "corkscrew_lengths": {str(k): corkscrew_length(k) for k in range(1, CORKSCREW_TABLE_LEN + 1)},
         }
 
 
@@ -108,8 +111,10 @@ class SuiteReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def add(self, id: str, passed: bool, margin: float, witness: dict | None = None) -> None:
-        self.checks.append(CheckResult(id, bool(passed), float(margin), witness))
+    def add(self, id: str, margin: float, witness: dict | None = None) -> None:
+        """Record check `id`, passed exactly when margin > 0: the headroom of
+        the check's own condition, any tolerance included (`tol - x` for x < tol)."""
+        self.checks.append(CheckResult(id, bool(margin > 0), float(margin), witness))
 
     def as_dict(self) -> dict:
         return {
@@ -271,20 +276,20 @@ def verify_concavity_chain(t_grid: int = 10_000) -> SuiteReport:
             worst_mono = min(worst_mono, float(np.min(drop)))
         incr, prev = prev, incr
 
-    rep.add("arc-concave-in-winding", worst_second <= 1e-12, -worst_second, worst_pt)
-    rep.add("unit-increment-dominates-below-1", worst_incr >= -1e-12, worst_incr, incr_pt)
-    rep.add("increments-nonincreasing-in-winding", worst_mono >= -1e-12, worst_mono)
+    rep.add("arc-concave-in-winding", 1e-12 - worst_second, worst_pt)
+    rep.add("unit-increment-dominates-below-1", worst_incr + 1e-12, incr_pt)
+    rep.add("increments-nonincreasing-in-winding", worst_mono + 1e-12)
 
     us = 2.0 * np.cosh(0.5 * np.geomspace(1e-4, 5.0, t_grid)) ** 2
     g = 2.0 * np.arcsinh(2.0 * us) - 2.0 * np.arcsinh(us)
     inf_val = 2.0 * math.asinh(4.0) - 2.0 * math.asinh(2.0)
     dg = np.diff(g[np.argsort(us)])
-    rep.add("asinh-difference-increasing-in-u", bool(np.all(dg > 0.0)), float(np.min(dg)))
-    rep.add("asinh-difference-infimum", bool(np.all(g >= inf_val - 1e-12)), float(np.min(g) - inf_val), {"u_min": float(np.min(us))})
-    rep.add("infimum-above-threshold", inf_val > CASE_SPLIT, inf_val - CASE_SPLIT)
+    rep.add("asinh-difference-increasing-in-u", np.min(dg))
+    rep.add("asinh-difference-infimum", np.min(g) - inf_val + 1e-12, {"u_min": float(np.min(us))})
+    rep.add("infimum-above-threshold", inf_val - CASE_SPLIT)
 
     tab = constants()
-    rep.add("gap-below-threshold", tab.gap < CASE_SPLIT, CASE_SPLIT - tab.gap)
+    rep.add("gap-below-threshold", CASE_SPLIT - tab.gap)
 
     for c in rep.checks:
         if not c.passed:
@@ -302,28 +307,25 @@ def verify_case1_chain(t_grid: int = 10_000) -> SuiteReport:
     ts = np.geomspace(1e-4, 5.0, t_grid)
     T, Tm2 = _case_split_T(ts)
 
-    rep.add("T-exceeds-2", bool(np.all(Tm2 > 0.0)), float(np.min(Tm2)))
-    T_small = _case_split_T(1e-9)[1]
-    rep.add("T-limit-at-short-core", T_small < 1e-9, 1e-9 - float(T_small), {"t": 1e-9})
+    rep.add("T-exceeds-2", np.min(Tm2))
+    rep.add("T-limit-at-short-core", 1e-9 - _case_split_T(1e-9)[1], {"t": 1e-9})
 
     # crossing term: 2*log((e^t+1)/(e^t-1)) rewritten as log(T/(T-2))
     lhs_b = 2.0 * np.log1p(2.0 / np.expm1(ts))
     rhs_b = np.log(T) - np.log(Tm2)
-    dev_b = float(np.max(np.abs(lhs_b - rhs_b)))
-    rep.add("crossing-term-rewrite", dev_b < 1e-10, 1e-10 - dev_b, {"t": float(ts[int(np.argmax(np.abs(lhs_b - rhs_b)))])})
+    rep.add("crossing-term-rewrite", 1e-10 - np.max(np.abs(lhs_b - rhs_b)), {"t": float(ts[int(np.argmax(np.abs(lhs_b - rhs_b)))])})
 
     # arc term: 2*asinh(sinh t * cosh(w1(2t))) rewritten as 2*log(T + sqrt(T^2+1))
     lhs_c = 2.0 * _arc(1.0, ts, _coshw1(ts))
     rhs_c = 2.0 * np.log(T + np.sqrt(T * T + 1.0))
-    dev_c = float(np.max(np.abs(lhs_c - rhs_c)))
-    rep.add("arc-term-rewrite", dev_c < 1e-9, 1e-9 - dev_c, {"t": float(ts[int(np.argmax(np.abs(lhs_c - rhs_c)))])})
+    rep.add("arc-term-rewrite", 1e-9 - np.max(np.abs(lhs_c - rhs_c)), {"t": float(ts[int(np.argmax(np.abs(lhs_c - rhs_c)))])})
 
     total = lhs_b + lhs_c
     bracket = find_bound_minimum()
     h_min = length_bound(bracket.root)
     m2 = sharp_bound_k2()
-    rep.add("assembled-bound-min-vs-root", bool(np.all(total >= h_min - 1e-9)), float(np.min(total) - h_min))
-    rep.add("assembled-bound-min-vs-sharp-constant", bool(np.min(total) > m2), float(np.min(total) - m2))
+    rep.add("assembled-bound-min-vs-root", np.min(total) - h_min + 1e-9)
+    rep.add("assembled-bound-min-vs-sharp-constant", np.min(total) - m2)
     rep.notes.append(
         "crossing term 2*log((e^t+1)/(e^t-1)) is twice the collar half-width at "
         "core length 2t; despite one source line typeset like a winding symbol, "
@@ -346,19 +348,19 @@ def run_verify_suite(seed: int = 20260809, pants_samples: int = 200, collar_samp
         config={"seed": seed, "pants_samples": pants_samples, "collar_samples": collar_samples},
     )
     tab = constants()
-    rep.add("two-crossing-bound-value", abs(tab.bound_two_crossings - 2.0 * math.acosh(5.0)) < 1e-6, 1e-6 - abs(tab.bound_two_crossings - 2.0 * math.acosh(5.0)))
-    rep.add("gap-below-threshold", tab.gap < CASE_SPLIT, CASE_SPLIT - tab.gap)
-    rep.add("corkscrew-1-matches-one-crossing-bound", abs(corkscrew_length(1) - tab.bound_one_crossing) < 1e-12, 1e-12 - abs(corkscrew_length(1) - tab.bound_one_crossing))
-    rep.add("corkscrew-2-matches-two-crossing-bound", abs(corkscrew_length(2) - tab.bound_two_crossings) < 1e-12, 1e-12 - abs(corkscrew_length(2) - tab.bound_two_crossings))
+    rep.add("two-crossing-bound-value", 1e-6 - abs(tab.bound_two_crossings - 2.0 * math.acosh(5.0)))
+    rep.add("gap-below-threshold", CASE_SPLIT - tab.gap)
+    rep.add("corkscrew-1-matches-one-crossing-bound", 1e-12 - abs(corkscrew_length(1) - tab.bound_one_crossing))
+    rep.add("corkscrew-2-matches-two-crossing-bound", 1e-12 - abs(corkscrew_length(2) - tab.bound_two_crossings))
 
-    rep.add("deriv-negative-at-3", length_bound_deriv(3.0) < 0.0, -length_bound_deriv(3.0))
-    rep.add("deriv-positive-at-25-8", length_bound_deriv(25.0 / 8.0) > 0.0, length_bound_deriv(25.0 / 8.0))
+    rep.add("deriv-negative-at-3", -length_bound_deriv(3.0))
+    rep.add("deriv-positive-at-25-8", length_bound_deriv(25.0 / 8.0))
     bracket = find_bound_minimum()
-    rep.add("minimum-in-bracket", 3.0 < bracket.root < 25.0 / 8.0, min(bracket.root - 3.0, 25.0 / 8.0 - bracket.root), {"root": bracket.root})
+    rep.add("minimum-in-bracket", min(bracket.root - 3.0, 25.0 / 8.0 - bracket.root), {"root": bracket.root})
     h0 = length_bound(bracket.root)
     inter = math.log(25.0 / 9.0) + 2.0 * math.log(3.0 + math.sqrt(10.0))
-    rep.add("minimum-above-intermediate", h0 > inter, h0 - inter, {"value": h0})
-    rep.add("minimum-above-sharp-constant", h0 > tab.bound_two_crossings, h0 - tab.bound_two_crossings)
+    rep.add("minimum-above-intermediate", h0 - inter, {"value": h0})
+    rep.add("minimum-above-sharp-constant", h0 - tab.bound_two_crossings)
 
     for c in verify_concavity_chain().checks:
         rep.checks.append(CheckResult(f"short-loop/{c.id}", c.passed, c.margin, c.witness))
@@ -379,10 +381,10 @@ def run_verify_suite(seed: int = 20260809, pants_samples: int = 200, collar_samp
         dev = abs(pants_mod.gamma_mn_length(P, C) - pants_mod.trace_length_oracle(P, C))
         if dev > worst:
             worst, worst_at = dev, {"l": [float(v) for v in ls], "m": m, "n": n}
-    rep.add("pants-formula-vs-holonomy", worst < 1e-9, 1e-9 - worst, worst_at)
+    rep.add("pants-formula-vs-holonomy", 1e-9 - worst, worst_at)
 
     dev = max(winding_mod.verify_cusp_lemma_geometrically(w, 1) for w in (0.1, 0.5, 1.0, 2.0, 5.0, 10.0))
-    rep.add("cusp-arc-vs-distance-oracle", dev < 1e-12, 1e-12 - dev)
+    rep.add("cusp-arc-vs-distance-oracle", 1e-12 - dev)
 
     worst = 0.0
     for _ in range(collar_samples):
@@ -392,10 +394,10 @@ def run_verify_suite(seed: int = 20260809, pants_samples: int = 200, collar_samp
         got = winding_mod.collar_arc_length(winding_mod.CollarArcQuery(W, core, width))
         oracle = winding_mod.saccheri_top_length(W, core, width)
         worst = max(worst, abs(got - oracle))
-    rep.add("collar-arc-vs-quadrilateral-oracle", worst < 1e-9, 1e-9 - worst)
+    rep.add("collar-arc-vs-quadrilateral-oracle", 1e-9 - worst)
 
     scan = collar.width_scan()
-    rep.add("gap-identity", scan["gap_identity_max_abs_dev"] < 1e-12, 1e-12 - scan["gap_identity_max_abs_dev"])
-    rep.add("wide-width-exceeds-width", scan["w1_gt_w_on_0_20"], scan["w1_minus_w_min"])
-    rep.add("wide-width-below-double-width-short-cores", scan["w1_lt_2w_on_0_2.3"], scan["twow_minus_w1_min_short"])
+    rep.add("gap-identity", 1e-12 - scan["gap_identity_max_abs_dev"])
+    rep.add("wide-width-exceeds-width", scan["w1_minus_w_min"])
+    rep.add("wide-width-below-double-width-short-cores", scan["twow_minus_w1_min_short"])
     return rep

@@ -173,19 +173,19 @@ def _chunked_concavity_chain(t_grid: int) -> SuiteReport:
             incr_pt = {"alpha": float(a[small, 0][jj[0]]), "t": float(t[0, jj[1]])}
         worst_mono = min(worst_mono, float(np.min(-np.diff(incr, axis=0))))
 
-    rep.add("arc-concave-in-winding", worst_second <= 1e-12, -worst_second, worst_pt)
-    rep.add("unit-increment-dominates-below-1", worst_incr >= -1e-12, worst_incr, incr_pt)
-    rep.add("increments-nonincreasing-in-winding", worst_mono >= -1e-12, worst_mono)
+    rep.add("arc-concave-in-winding", 1e-12 - worst_second, worst_pt)
+    rep.add("unit-increment-dominates-below-1", worst_incr + 1e-12, incr_pt)
+    rep.add("increments-nonincreasing-in-winding", worst_mono + 1e-12)
 
     us = 2.0 * np.cosh(0.5 * np.geomspace(1e-4, 5.0, t_grid)) ** 2
     g = 2.0 * np.arcsinh(2.0 * us) - 2.0 * np.arcsinh(us)
     inf_val = 2.0 * math.asinh(4.0) - 2.0 * math.asinh(2.0)
-    rep.add("asinh-difference-increasing-in-u", bool(np.all(np.diff(g[np.argsort(us)]) > 0.0)), float(np.min(np.diff(g[np.argsort(us)]))))
-    rep.add("asinh-difference-infimum", bool(np.all(g >= inf_val - 1e-12)), float(np.min(g) - inf_val), {"u_min": float(np.min(us))})
-    rep.add("infimum-above-threshold", inf_val > CASE_SPLIT, inf_val - CASE_SPLIT)
+    rep.add("asinh-difference-increasing-in-u", float(np.min(np.diff(g[np.argsort(us)]))))
+    rep.add("asinh-difference-infimum", float(np.min(g) - inf_val + 1e-12), {"u_min": float(np.min(us))})
+    rep.add("infimum-above-threshold", inf_val - CASE_SPLIT)
 
     tab = constants()
-    rep.add("gap-below-threshold", tab.gap < CASE_SPLIT, CASE_SPLIT - tab.gap)
+    rep.add("gap-below-threshold", CASE_SPLIT - tab.gap)
 
     for c in rep.checks:
         if not c.passed:
@@ -243,3 +243,13 @@ def test_reports_deterministic():
 def test_full_suite_passes():
     rep = run_verify_suite(pants_samples=40, collar_samples=25)
     assert rep.passed
+    assert len(rep.checks) == 28
+    assert all(c.passed == (c.margin > 0) for c in rep.checks)
+
+
+@pytest.mark.parametrize("margin, passed", [(1e-300, True), (0.0, False), (-0.0, False), (-1e-300, False), (math.nan, False)])
+def test_suite_report_passes_exactly_on_positive_margin(margin, passed):
+    rep = SuiteReport("pass-rule")
+    rep.add("check", margin)
+    assert rep.checks[0].passed is passed
+    assert rep.passed is passed
