@@ -3,14 +3,18 @@
 The 2x2 matrix kernel (mat_mul, mat_inv, mat_pow, moebius, moebius_point,
 fixed_points) works on plain tuples (a, b, c, d) for [[a, b], [c, d]].  The
 product, inverse and power use only +, - and *, so int, float and mpmath.mpf
-entries all work and int entries stay exact.  Isometry, words, selfint and
-pants all go through it.
+entries all work and int entries stay exact.  Words, selfint, pants and
+Isometry, itself an (a, b, c, d) tuple, all go through it.
+
+Isometry, Point and Axis are named tuples, not dataclasses, which keeps
+dataclasses and inspect out of ``import hypcross``.  Each checks its arguments
+in ``__new__`` (``_make`` and ``_replace`` skip the checks).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 # Boundary points of the half-plane are reals, with math.inf as the point at
 # infinity.  Every consumer of a boundary value handles INFINITY explicitly.
@@ -83,27 +87,21 @@ def fixed_points(m) -> tuple[float, float]:
     return (t / c, -b / t)
 
 
-@dataclass(frozen=True)
-class Isometry:
+class Isometry(namedtuple("Isometry", "a b c d")):
     """Orientation-preserving isometry of the half-plane as a unit-determinant
     2x2 real matrix [[a, b], [c, d]].  Construction renormalizes determinant
     drift larger than DET_TOL."""
 
-    a: float
-    b: float
-    c: float
-    d: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        det = self.a * self.d - self.b * self.c
+    def __new__(cls, a, b, c, d):
+        det = a * d - b * c
         if not math.isfinite(det) or det <= 0.0:
             raise ValueError(f"matrix determinant must be positive, got {det}")
         if abs(det - 1.0) > DET_TOL:
             s = math.sqrt(det)
-            object.__setattr__(self, "a", self.a / s)
-            object.__setattr__(self, "b", self.b / s)
-            object.__setattr__(self, "c", self.c / s)
-            object.__setattr__(self, "d", self.d / s)
+            a, b, c, d = a / s, b / s, c / s, d / s
+        return tuple.__new__(cls, (a, b, c, d))
 
     @property
     def trace(self) -> float:
@@ -127,40 +125,35 @@ IDENTITY = Isometry(1.0, 0.0, 0.0, 1.0)
 
 def compose(g: Isometry, h: Isometry) -> Isometry:
     """Matrix product g*h, renormalized to unit determinant."""
-    return Isometry(*mat_mul((g.a, g.b, g.c, g.d), (h.a, h.b, h.c, h.d)))
+    return Isometry(*mat_mul(g, h))
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(namedtuple("Point", "x y")):
     """Point x + iy of the open upper half-plane, y > 0 strictly."""
 
-    x: float
-    y: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)) or self.y <= 0.0:
-            raise ValueError(f"upper half-plane requires finite x and y > 0, got ({self.x}, {self.y})")
+    def __new__(cls, x, y):
+        if not (math.isfinite(x) and math.isfinite(y)) or y <= 0.0:
+            raise ValueError(f"upper half-plane requires finite x and y > 0, got ({x}, {y})")
+        return tuple.__new__(cls, (x, y))
 
 
-@dataclass(frozen=True)
-class Axis:
+class Axis(namedtuple("Axis", "p q")):
     """Unordered endpoint pair of a complete geodesic, stored canonically:
     finite endpoints ascending, INFINITY last."""
 
-    p: float
-    q: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.p == self.q:
+    def __new__(cls, p, q):
+        if p == q:
             raise ValueError("axis endpoints must be distinct")
-        lo, hi = sorted((self.p, self.q))
-        object.__setattr__(self, "p", lo)
-        object.__setattr__(self, "q", hi)
+        return tuple.__new__(cls, sorted((p, q)))
 
 
 def apply_boundary(g: Isometry, x: float) -> float:
     """Moebius action on a boundary point (INFINITY-aware)."""
-    return moebius((g.a, g.b, g.c, g.d), x)
+    return moebius(g, x)
 
 
 def apply_axis(g: Isometry, axis: Axis) -> Axis:
@@ -203,7 +196,7 @@ def axis_of(g: Isometry) -> Axis:
     scale = max(abs(g.a), abs(g.b), abs(g.d), 1.0)
     if abs(g.c) <= 1e-14 * scale:
         return Axis(g.b / (g.d - g.a), INFINITY)
-    return Axis(*fixed_points((g.a, g.b, g.c, g.d)))
+    return Axis(*fixed_points(g))
 
 
 def _theta(x: float) -> float:

@@ -136,8 +136,7 @@ def pants_holonomy(P: PantsBoundary) -> PantsHolonomy:
 
 
 def _validate_holonomy(hol: PantsHolonomy, P: PantsBoundary) -> None:
-    A = (hol.A.a, hol.A.b, hol.A.c, hol.A.d)
-    B = (hol.B.a, hol.B.b, hol.B.c, hol.B.d)
+    A, B = hol.A, hol.B
     ab_inv = mat_mul(A, mat_inv(B))
     ab = mat_mul(A, B)
     errs = (

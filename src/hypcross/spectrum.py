@@ -10,8 +10,7 @@ pairs and boundary interleaving, of the class's primitive root.
 from __future__ import annotations
 
 import os
-import tempfile
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb
 
 from .halfplane import length_from_trace
@@ -20,7 +19,7 @@ from .selfint import tracer_count  # not called here: bench/workloads.py times i
 from .words import enumerate_classes, primitive_root, word_trace
 
 # version of the cache file layout; part of the header key
-CACHE_FORMAT = 3
+CACHE_FORMAT = 4
 
 # largest word length spectrum accepts; every hyperbolic class up to it has
 # |trace| >= 2 * (word length), checked class by class in tests/test_words.py
@@ -31,13 +30,11 @@ class MethodDisagreement(RuntimeError):
     """The linked-pairs and boundary counts differ for the same class."""
 
 
-@dataclass(frozen=True)
-class SpectrumEntry:
-    word: str
-    trace: float
-    length: float
-    self_intersections: int
-    count_method: str  # both (linked-pairs and boundary counts agree) | power (C(2k, 2) times the root's count)
+class SpectrumEntry(namedtuple("SpectrumEntry", "word trace length self_intersections count_method")):
+    """One class of the spectrum.  count_method is both (linked-pairs and
+    boundary counts agree) or power (C(2k, 2) times the root's count)."""
+
+    __slots__ = ()
 
 
 def _count_class(w: str) -> tuple[int, str]:
@@ -68,8 +65,8 @@ def spectrum(max_len: int, length_cap: float, k_min: int, cache_path: str | None
     linked-pairs count and the exact boundary count, which must agree
     (MethodDisagreement otherwise), as C(2k, 2) * i(v).  The cache is keyed
     by (max_len, length_cap) and CACHE_FORMAT."""
-    if max_len > MAX_WORD_LEN:
-        raise ValueError(f"max_len must be <= {MAX_WORD_LEN}, got {max_len}")
+    if not 1 <= max_len <= MAX_WORD_LEN:
+        raise ValueError(f"max_len must be in [1, {MAX_WORD_LEN}], got {max_len}")
 
     key = _cache_key(max_len, length_cap)
     cached = _read_cache(cache_path, key) if cache_path else None
@@ -98,8 +95,7 @@ def reachable_word_length(max_len: int, length_cap: float) -> int:
     length_from_trace at trace 2n (2n/2 == n exactly), so a cap equal to a
     class length keeps that class; every larger trace gives a longer length
     by far more than rounding.  A nan cap gives 1 (no classes), an infinite
-    one max_len, and max_len < 1 is passed through for enumerate_classes to
-    reject."""
+    one max_len, and max_len < 1 is returned as it is."""
     n = max_len
     while n > 1 and not length_from_trace(2 * n) <= length_cap:
         n -= 1
@@ -122,9 +118,12 @@ def _cache_key(max_len: int, length_cap: float) -> str:
 
 
 def _write_cache(path: str, key: str, entries: list[SpectrumEntry]) -> None:
-    """Write to a temporary file beside ``path``, then rename it into place,
-    so a reader never sees a half-written cache.  A failure to create the
-    temporary file is reported against ``path``, the name the caller gave."""
+    """Write the header, one line per entry and the trailer ``# entries=N`` to
+    a temporary file beside ``path``, then rename it into place, so a reader
+    never sees a half-written cache.  A failure to create the temporary file
+    is reported against ``path``, the name the caller gave."""
+    import tempfile  # only cache writers need it
+
     try:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
     except OSError as exc:
@@ -134,6 +133,7 @@ def _write_cache(path: str, key: str, entries: list[SpectrumEntry]) -> None:
             fh.write(key + "\n")
             for e in entries:
                 fh.write(f"{e.word}\t{e.trace!r}\t{e.length!r}\t{e.self_intersections}\t{e.count_method}\n")
+            fh.write(f"# entries={len(entries)}\n")
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -141,14 +141,19 @@ def _write_cache(path: str, key: str, entries: list[SpectrumEntry]) -> None:
 
 
 def _read_cache(path: str, key: str) -> list[SpectrumEntry] | None:
+    """The entries cached under ``key``, or None (recompute) when the file is
+    missing, has another header, or is truncated or garbled."""
     if not os.path.exists(path):
         return None
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != key:
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            header, *body, trailer, end = fh.read().split("\n")
+        if header != key or trailer != f"# entries={len(body)}" or end:
             return None
         out = []
-        for line in fh:
-            word, trace, length, count, method = line.rstrip("\n").split("\t")
+        for line in body:
+            word, trace, length, count, method = line.split("\t")
             out.append(SpectrumEntry(word, float(trace), float(length), int(count), method))
+    except ValueError:  # too few lines or fields, a bad number, or non-ascii bytes
+        return None
     return out

@@ -189,9 +189,31 @@ def test_spectrum_cache_flag(tmp_path, capsys):
     assert first == second
 
 
+def test_truncated_spectrum_cache_is_recomputed(tmp_path, capsys):
+    cache = tmp_path / "c.tsv"
+    argv = ["spectrum", "--max-word-len", "6", "--cap", "4.585", "--k", "2", "--cache", str(cache)]
+    code, first = run(capsys, *argv)
+    assert code == 0 and "# witness k=2: aab" in first
+    whole = cache.read_text()
+    cache.write_text("".join(whole.splitlines(keepends=True)[:3]))
+    code, again = run(capsys, *argv)
+    assert code == 0
+    assert again == first
+    assert cache.read_text() == whole
+
+
+@pytest.mark.parametrize("max_len", ["0", "-3", "13"])
+def test_spectrum_max_word_len_range(capsys, max_len):
+    code = main(["spectrum", "--max-word-len", max_len, "--cap", "4.6", "--k", "2"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == f"hypcross spectrum: error: max_len must be in [1, 12], got {max_len}\n"
+
+
 NUMPY_BLOCKED = """
 import sys
-sys.modules["numpy"] = None
+sys.modules.update(dict.fromkeys(["numpy", "dataclasses", "typing", "tempfile"]))
 import hypcross
 import hypcross.selfint, hypcross.words
 from hypcross import spectrum
@@ -213,6 +235,22 @@ def test_spectrum_runs_without_numpy():
     assert proc.returncode == 0, proc.stderr.decode()
     # the output of the same command with numpy available
     assert hashlib.sha256(proc.stdout).hexdigest() == "bfb464aa61591de0495144ef848d2c295cbed4b311bee5a39b9405eb39737a0e"
+
+
+def test_import_loads_no_dataclasses_inspect_or_numpy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    script = "import sys; before = set(sys.modules); import hypcross; print(*sorted(set(sys.modules) - before))"
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    added = proc.stdout.split()
+    assert "hypcross.spectrum" in added
+    assert not {"dataclasses", "inspect", "numpy"} & set(added), added
 
 
 def test_numeric_modules_import_by_name():

@@ -269,3 +269,66 @@ def test_fixed_points_match_axis_of_for_every_short_class():
         for r in roots:
             residual = min(abs(moebius(m, r) - r), abs(moebius(mat_inv(m), r) - r))
             assert residual <= 1e-12 * abs(r), w
+
+
+# --------------------------------------------- the named-tuple records
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Isometry(0, 0, 0, 0),
+        lambda: Isometry(math.nan, 0, 0, 1),
+        lambda: Isometry(math.inf, 0, 0, 1),
+        lambda: Point(math.nan, 1.0),
+        lambda: Point(0.0, math.inf),
+        lambda: Axis(1.5, 1.5),
+        lambda: Axis(INFINITY, INFINITY),
+    ],
+)
+def test_records_reject_invalid_arguments(make):
+    with pytest.raises(ValueError):
+        make()
+
+
+def test_isometry_renormalization_floats():
+    # det 2: every entry divided by sqrt(2)
+    assert tuple(Isometry(3, 1, 1, 1)) == (2.1213203435596424, 0.7071067811865475, 0.7071067811865475, 0.7071067811865475)
+    # drift 1e-9 > DET_TOL is renormalized; 1e-13 < DET_TOL is kept as given
+    assert tuple(Isometry(1 + 1e-9, 0.5, 0, 1)) == (1.0000000005, 0.49999999975, 0.0, 0.9999999995)
+    assert tuple(Isometry(1 + 1e-13, 0, 0, 1)) == (1.0000000000001, 0, 0, 1)
+    assert tuple(Isometry(9, 4, 2, 1)) == (9, 4, 2, 1)  # ints stay ints at det 1
+
+
+def test_axis_endpoint_order():
+    assert tuple(Axis(2, -1)) == (-1, 2)
+    assert tuple(Axis(INFINITY, 3)) == (3, INFINITY)
+    assert Axis(2, -1) == Axis(-1, 2)
+
+
+@pytest.mark.parametrize(
+    "record, field",
+    [(Isometry(5, 2, 2, 1), "a"), (Point(0.37, 2.2), "y"), (Axis(-1, 1), "p"), (Point(0.37, 2.2), "z")],
+)
+def test_records_reject_assignment(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, 1.0)
+
+
+def test_record_repr_and_tuple_semantics():
+    assert repr(Point(0.37, 2.2)) == "Point(x=0.37, y=2.2)"
+    assert repr(Axis(INFINITY, 3)) == "Axis(p=3, q=inf)"
+    assert repr(Isometry(9, 4, 2, 1)) == "Isometry(a=9, b=4, c=2, d=1)"
+    assert Point(0, 1) == (0, 1)
+    assert list(Point(0, 1)) == [0, 1]
+    assert hash(Axis(1, -1)) == hash((-1, 1))
+
+
+def test_isometry_is_a_kernel_tuple():
+    g, h = Isometry(5, 2, 2, 1), Isometry(9, 4, 2, 1)
+    assert mat_mul(g, h) == tuple(compose(g, h)) == (49, 22, 20, 9)
+    assert mat_inv(g) == tuple(g.inverse())
+    assert mat_pow(g, 3) == mat_mul(mat_mul(g, g), g)
+    assert moebius(g, 0.5) == apply_boundary(g, 0.5) == 2.25
+    assert moebius(g, INFINITY) == apply_boundary(g, INFINITY) == 2.5
+    assert tuple(sorted(fixed_points(h))) == tuple(axis_of(h))
