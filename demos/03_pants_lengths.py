@@ -29,10 +29,10 @@ print("\nsinh-ratio factors exceed the winding number once the boundary opens up
 for l in (0.0, 0.5, 2.0):
     print(f"  ratio(m=3, l={l}): {chebyshev_ratio(3, l):.6f}")
 
-hol = pants_holonomy(ideal)
+A, B = pants_holonomy(ideal)
 print("\nideal holonomy generators:")
-print("  A =", (hol.A.a, hol.A.b, hol.A.c, hol.A.d))
-print("  B =", (hol.B.a, hol.B.b, hol.B.c, hol.B.d))
+print("  A =", tuple(float(x) for x in A))
+print("  B =", tuple(float(x) for x in B))
 
 P = PantsBoundary(1.0, 1.5, 2.0)
 C = CurveClass(2, 3)

@@ -29,5 +29,6 @@ for W in (0.5, 1.0, 2.0):
     L = cusp_arc_length(CuspArcQuery(W))
     print(f"  W = {W}: length {L:.12f}, recovered W = {cusp_winding_from_length(L):.12f}")
 
-print("\nhalf-plane oracle (endpoints (-2W, 1), (2W, 1)) max deviation over a grid:")
-print(" ", verify_cusp_lemma_geometrically(10.0, 6))
+print("\nhalf-plane oracle (endpoints (-2W, 1), (2W, 1)) deviation:")
+for W in (0.01, 0.1, 1.0, 10.0):
+    print(f"  W = {W}: {verify_cusp_lemma_geometrically(W)}")

@@ -3,7 +3,8 @@ surfaces.
 
 Submodules (``import hypcross`` loads only the numpy-free halfplane, words,
 selfint and spectrum, whose records are named tuples, not dataclasses; import
-the numeric ones, which need numpy, by name):
+the numeric ones by name; collar, pants and verifier need numpy, winding does
+not):
   halfplane  -- isometries, distance, axes, trace-length dictionary, and
                 the 2x2 tuple kernel (mat_mul, mat_inv, mat_pow, moebius,
                 moebius_point, fixed_points) shared by words, selfint, pants

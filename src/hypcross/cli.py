@@ -137,7 +137,7 @@ def _cmd_winding(args) -> int:
         results = {
             "arc_length": length,
             "roundtrip_residual": back - args.w,
-            "distance_oracle_max_dev": winding.verify_cusp_lemma_geometrically(args.w, 1),
+            "distance_oracle_max_dev": winding.verify_cusp_lemma_geometrically(args.w),
         }
         config = {"cusp": True, "w": args.w}
     _emit(_document("winding", config, results), args.out)

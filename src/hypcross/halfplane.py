@@ -116,9 +116,6 @@ class Isometry(namedtuple("Isometry", "a b c d")):
     def inverse(self) -> "Isometry":
         return Isometry(self.d, -self.b, -self.c, self.a)
 
-    def __matmul__(self, other: "Isometry") -> "Isometry":
-        return compose(self, other)
-
 
 IDENTITY = Isometry(1.0, 0.0, 0.0, 1.0)
 

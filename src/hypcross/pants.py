@@ -2,8 +2,9 @@
 
 The closed-form length (a product of Chebyshev-type sinh ratios and cosh
 terms) is paired with an independent holonomy oracle: build generator matrices
-realizing the boundary trace triple and measure the translation length of the
-word A^m B^n directly.  Both must agree to 1e-9.
+realizing the boundary trace triple in 40-digit arithmetic, check that they
+meet it, and measure the translation length of the word A^m B^n directly.
+Both must agree to 1e-9.
 """
 
 from __future__ import annotations
@@ -13,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .halfplane import Isometry, mat_inv, mat_mul, mat_pow
+from .halfplane import mat_inv, mat_mul, mat_pow
 
 
-class ConstructionFailure(RuntimeError):
+class ConstructionFailure(ValueError):
     """Holonomy constraint solve hit a degenerate parametrization."""
 
 
@@ -33,12 +34,6 @@ class PantsBoundary:
             if not (math.isfinite(v) and v >= 0.0):
                 raise ValueError(f"boundary lengths must be finite and >= 0, got {v}")
 
-    def c(self, i: int) -> float:
-        return math.cosh(0.5 * getattr(self, f"l{i}"))
-
-    def s(self, i: int) -> float:
-        return math.sinh(0.5 * getattr(self, f"l{i}"))
-
 
 @dataclass(frozen=True)
 class CurveClass:
@@ -50,14 +45,6 @@ class CurveClass:
     def __post_init__(self):
         if self.m < 1 or self.n < 1:
             raise ValueError(f"winding counts must be >= 1, got ({self.m}, {self.n})")
-
-
-@dataclass(frozen=True)
-class PantsHolonomy:
-    """Generator pair for a pants group; the third boundary class is A*B^{-1}."""
-
-    A: Isometry
-    B: Isometry
 
 
 def chebyshev_ratio(m: int, l: float) -> float:
@@ -92,62 +79,54 @@ def _length_rhs(l1: float, l2: float, l3: float, m: int, n: int) -> float:
     return r1 * r2 * (c3 + c1 * c2) + math.cosh(0.5 * m * l1) * math.cosh(0.5 * n * l2)
 
 
-def _holonomy_entries(P: PantsBoundary, cosh, exp, sqrt, conv=float):
-    """Generator entries over a numeric backend (math or mpmath).
+def pants_holonomy(P: PantsBoundary):
+    """Generators (A, B) with trace triple (2c1, 2c2, tr(A B^-1) = -2c3),
+    ci = cosh(li/2), as (a, b, c, d) tuples of 40-digit mpf entries.
 
-    A in normal form (diagonal when boundary 1 is a geodesic, the unit
-    translation-by-2 parabolic when it is a cusp); B solved from its trace and
-    the tr(A B^-1) constraint, leftover gauge fixed by a positive lower-left
-    entry, balanced so |q| = r.
+    A is in normal form (diagonal when boundary 1 is a geodesic, the unit
+    translation-by-2 parabolic when it is a cusp); B is solved from its trace
+    and the tr(A B^-1) constraint, leftover gauge fixed by a positive
+    lower-left entry, balanced so |q| = r.  For the three-cusp case this is
+    exactly A = [[1,2],[0,1]], B = [[1,0],[2,1]].  Short (but nonzero) first
+    boundaries force entries of size ~1/sinh(l1/2): the construction is
+    refused once 2 sinh(l1/2) < 1e-12, and fails if the three trace
+    constraints miss by more than 1e-9 or A*B is not hyperbolic.
     """
-    c2 = cosh(conv(P.l2) / 2)
-    c3 = cosh(conv(P.l3) / 2)
-    if P.l1 == 0.0:
-        A = (1.0, 2.0, 0.0, 1.0)
-        r = c2 + c3
-        p = s = c2
-        q = (c2 * c2 - 1.0) / r
-    else:
-        lam = exp(conv(P.l1) / 2)
-        denom = lam - 1.0 / lam  # 2 sinh(l1/2)
-        if denom < 1e-12:
-            raise ConstructionFailure(f"boundary length l1 = {P.l1} too close to the cusp limit")
-        A = (lam, 0.0, 0.0, 1.0 / lam)
-        p = (2.0 * c2 * lam + 2.0 * c3) / denom
-        s = 2.0 * c2 - p
-        off = p * s - 1.0
-        r = sqrt(abs(off)) if off != 0.0 else 1.0
-        q = off / r
-    return A, (p, q, r, s)
+    import mpmath
+    from mpmath import mpf
 
+    with mpmath.workdps(40):
+        c1, c2, c3 = (mpmath.cosh(mpf(l) / 2) for l in (P.l1, P.l2, P.l3))
+        if P.l1 == 0.0:
+            A = (mpf(1), mpf(2), mpf(0), mpf(1))
+            r = c2 + c3
+            p = s = c2
+            q = (c2 * c2 - 1) / r
+        else:
+            lam = mpmath.exp(mpf(P.l1) / 2)
+            denom = lam - 1 / lam  # 2 sinh(l1/2)
+            if denom < 1e-12:
+                raise ConstructionFailure(f"boundary length l1 = {P.l1} too close to the cusp limit")
+            A = (lam, mpf(0), mpf(0), 1 / lam)
+            p = (2 * c2 * lam + 2 * c3) / denom
+            s = 2 * c2 - p
+            off = p * s - 1
+            r = mpmath.sqrt(abs(off)) if off != 0 else mpf(1)
+            q = off / r
+        B = (p, q, r, s)
 
-def pants_holonomy(P: PantsBoundary) -> PantsHolonomy:
-    """Generators with trace triple (2c1, 2c2, tr(A B^-1) = -2c3).
-
-    For the three-cusp case the construction reduces exactly to
-    A = [[1,2],[0,1]], B = [[1,0],[2,1]].  Short (but nonzero) first
-    boundaries force entries of size ~1/sinh(l1/2); construction fails once
-    the trace constraints cannot be met to 1e-9 in binary64.
-    """
-    Araw, Braw = _holonomy_entries(P, math.cosh, math.exp, math.sqrt)
-    hol = PantsHolonomy(Isometry(*Araw), Isometry(*Braw))
-    _validate_holonomy(hol, P)
-    return hol
-
-
-def _validate_holonomy(hol: PantsHolonomy, P: PantsBoundary) -> None:
-    A, B = hol.A, hol.B
-    ab_inv = mat_mul(A, mat_inv(B))
-    ab = mat_mul(A, B)
-    errs = (
-        abs(abs(A[0] + A[3]) - 2.0 * P.c(1)),
-        abs(abs(B[0] + B[3]) - 2.0 * P.c(2)),
-        abs((ab_inv[0] + ab_inv[3]) + 2.0 * P.c(3)),
-    )
-    if max(errs) > 1e-9:
-        raise ConstructionFailure(f"trace constraints violated by {max(errs):.3e}")
-    if ab[0] + ab[3] <= 2.0:
-        raise ConstructionFailure("A*B is not hyperbolic")
+        ab_inv = mat_mul(A, mat_inv(B))
+        err = max(
+            abs(abs(A[0] + A[3]) - 2 * c1),
+            abs(abs(B[0] + B[3]) - 2 * c2),
+            abs(ab_inv[0] + ab_inv[3] + 2 * c3),
+        )
+        if err > 1e-9:
+            raise ConstructionFailure(f"trace constraints violated by {float(err):.3e}")
+        ab = mat_mul(A, B)
+        if ab[0] + ab[3] <= 2:
+            raise ConstructionFailure("A*B is not hyperbolic")
+    return A, B
 
 
 def trace_length_oracle(P: PantsBoundary, C: CurveClass) -> float:
@@ -162,7 +141,7 @@ def trace_length_oracle(P: PantsBoundary, C: CurveClass) -> float:
     import mpmath
 
     with mpmath.workdps(40):
-        A, B = _holonomy_entries(P, mpmath.cosh, mpmath.exp, mpmath.sqrt, mpmath.mpf)
+        A, B = pants_holonomy(P)
         word = mat_mul(mat_pow(A, C.m), mat_pow(B, C.n))
         tr = word[0] + word[3]
         if abs(tr) <= 2:

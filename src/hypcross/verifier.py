@@ -10,10 +10,11 @@ Two chains are audited on dense grids:
   in the winding number and a monotone asinh difference whose infimum is
   2 asinh 4 - 2 asinh 2 > 1.06.
 
-All checks return structured reports (pass flag, margin, witness point);
-violations raise with the offending grid point.  A margin is the check's
-headroom, tolerance included, and a check passes exactly when its margin is
-positive.
+All checks return structured reports (pass flag, margin, witness point): a
+failed check is reported with its offending grid point, not raised.  A margin
+is the check's headroom, tolerance included, and a check passes exactly when
+its margin is positive.  Only the sign-pattern grid of find_bound_minimum,
+which is not a reported check, raises (ChainViolation).
 """
 
 from __future__ import annotations
@@ -291,9 +292,6 @@ def verify_concavity_chain(t_grid: int = 10_000) -> SuiteReport:
     tab = constants()
     rep.add("gap-below-threshold", CASE_SPLIT - tab.gap)
 
-    for c in rep.checks:
-        if not c.passed:
-            raise ChainViolation(f"{c.id} failed at {c.witness} (margin {c.margin})")
     return rep
 
 
@@ -331,9 +329,6 @@ def verify_case1_chain(t_grid: int = 10_000) -> SuiteReport:
         "core length 2t; despite one source line typeset like a winding symbol, "
         "it is a width, and the surrounding algebra is checked on that reading"
     )
-    for c in rep.checks:
-        if not c.passed:
-            raise ChainViolation(f"{c.id} failed at {c.witness} (margin {c.margin})")
     return rep
 
 
@@ -383,7 +378,7 @@ def run_verify_suite(seed: int = 20260809, pants_samples: int = 200, collar_samp
             worst, worst_at = dev, {"l": [float(v) for v in ls], "m": m, "n": n}
     rep.add("pants-formula-vs-holonomy", 1e-9 - worst, worst_at)
 
-    dev = max(winding_mod.verify_cusp_lemma_geometrically(w, 1) for w in (0.1, 0.5, 1.0, 2.0, 5.0, 10.0))
+    dev = max(winding_mod.verify_cusp_lemma_geometrically(w) for w in (0.1, 0.5, 1.0, 2.0, 5.0, 10.0))
     rep.add("cusp-arc-vs-distance-oracle", 1e-12 - dev)
 
     worst = 0.0

@@ -93,11 +93,7 @@ def canonical_class(w: str) -> str:
 
 def is_primitive(w: str) -> bool:
     """True when the cyclically reduced word is not a literal proper power."""
-    n = len(w)
-    for d in range(1, n):
-        if n % d == 0 and w == w[:d] * (n // d):
-            return d == n
-    return True
+    return not w or primitive_root(w)[1] == 1
 
 
 def primitive_root(w: str) -> tuple[str, int]:

@@ -83,7 +83,7 @@ def test_criterion_3_corollary_minimum():
 
 def test_criterion_4_winding_lemmas():
     t0 = time.monotonic()
-    cusp_dev = max(winding.verify_cusp_lemma_geometrically(W, 1) for W in (0.1, 0.5, 1.0, 2.0, 5.0, 10.0))
+    cusp_dev = max(winding.verify_cusp_lemma_geometrically(W) for W in (0.1, 0.5, 1.0, 2.0, 5.0, 10.0))
     assert cusp_dev < 1e-12
     rng = np.random.default_rng(4)
     worst = 0.0

@@ -107,6 +107,8 @@ def test_usage_error_exit_code(capsys):
         ["winding", "--cusp", "--w", "-1"],
         ["pants-min", "--cap", "6", "--lmax", "0", "--grid", "16"],
         ["pants-min", "--cap", "6", "--lmax", "inf", "--grid", "16"],
+        # the holonomy oracle refuses a first boundary this close to a cusp
+        ["pants-length", "--l1", "1e-14", "--l2", "1", "--l3", "1", "--m", "1", "--n", "2", "--oracle"],
     ],
 )
 @pytest.mark.filterwarnings("error")  # a warning would print to stderr outside pytest
@@ -150,6 +152,27 @@ def test_verify_passes(capsys):
     doc = json.loads(out)
     assert doc["results"]["passed"] is True
     assert all(c["passed"] for c in doc["results"]["checks"])
+
+
+def test_failed_chain_check_is_reported_with_exit_1(capsys, monkeypatch):
+    # without its asinh the arc is convex in the winding number, so
+    # short-loop check (a) fails: the document still prints, with the witness
+    import numpy as np
+    from hypcross import verifier
+
+    def convex_arc(s, t, coshw1, out=None):
+        return np.multiply(np.sinh(np.multiply(s, t, out=out), out=out), coshw1, out=out)
+
+    monkeypatch.setattr(verifier, "_arc", convex_arc)
+    code, out = run(capsys, "verify")
+    assert code == 1
+    res = json.loads(out)["results"]
+    assert res["passed"] is False
+    checks = {c["id"]: c for c in res["checks"]}
+    assert len(checks) == 28
+    failed = checks["short-loop/arc-concave-in-winding"]
+    assert failed["passed"] is False
+    assert failed["witness"] == {"alpha": 6.0, "t": 0.53}
 
 
 def test_spectrum_table(capsys):

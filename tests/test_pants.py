@@ -1,10 +1,12 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypcross.halfplane import mat_inv, mat_mul
 from hypcross.pants import (
     ConstructionFailure,
     CurveClass,
@@ -56,14 +58,21 @@ def test_length_regression_generic_pants():
 
 
 def test_ideal_holonomy_normal_form():
-    from hypcross.halfplane import compose
+    A, B = pants_holonomy(IDEAL)
+    assert A == (1, 2, 0, 1)
+    assert B == (1, 0, 2, 1)
+    ab_inv = mat_mul(A, mat_inv(B))
+    assert ab_inv == (-3, 2, -2, 1)
+    assert ab_inv[0] + ab_inv[3] == -2
 
-    hol = pants_holonomy(IDEAL)
-    assert (hol.A.a, hol.A.b, hol.A.c, hol.A.d) == (1.0, 2.0, 0.0, 1.0)
-    assert (hol.B.a, hol.B.b, hol.B.c, hol.B.d) == (1.0, 0.0, 2.0, 1.0)
-    ab_inv = compose(hol.A, hol.B.inverse())
-    assert (ab_inv.a, ab_inv.b, ab_inv.c, ab_inv.d) == (-3.0, 2.0, -2.0, 1.0)
-    assert ab_inv.trace == -2.0
+
+def test_holonomy_entries_are_40_digit():
+    A, B = pants_holonomy(PantsBoundary(1.0, 1.5, 2.0))
+    for x in A + B:
+        assert isinstance(x, mpmath.mpf)
+    assert mpmath.mp.dps == 15  # the 40 digits are local to the construction
+    with mpmath.workdps(40):
+        assert abs(A[0] - mpmath.exp(mpmath.mpf(0.5))) < mpmath.mpf(10) ** -39
 
 
 def test_holonomy_trace_identity():
@@ -71,24 +80,43 @@ def test_holonomy_trace_identity():
     for _ in range(50):
         ls = rng.uniform(0, 4, 3)
         ls[rng.random(3) < 0.3] = 0.0
-        P = PantsBoundary(*ls)
-        hol = pants_holonomy(P)
-        tr_ab = (hol.A.a * hol.B.a + hol.A.b * hol.B.c) + (hol.A.c * hol.B.b + hol.A.d * hol.B.d)
-        assert abs(tr_ab - (4 * P.c(1) * P.c(2) + 2 * P.c(3))) < 1e-9
+        A, B = pants_holonomy(PantsBoundary(*ls))
+        c1, c2, c3 = (math.cosh(0.5 * l) for l in ls)
+        with mpmath.workdps(40):
+            ab = mat_mul(A, B)
+            tr_ab = ab[0] + ab[3]
+        assert abs(tr_ab - (4 * c1 * c2 + 2 * c3)) < 1e-9
         assert tr_ab > 2.0
 
 
 def test_holonomy_mixed_cusp():
-    P = PantsBoundary(2 * math.asinh(1.0), 0.0, 0.0)
-    hol = pants_holonomy(P)
-    assert abs(hol.A.trace - 2 * math.sqrt(2)) < 1e-12
-    assert hol.A.classify() == "hyperbolic"
-    assert hol.B.classify() == "parabolic"
+    A, B = pants_holonomy(PantsBoundary(2 * math.asinh(1.0), 0.0, 0.0))
+    assert abs((A[0] + A[3]) - 2 * math.sqrt(2)) < 1e-12
+    assert abs((B[0] + B[3]) - 2) < 1e-12
 
 
 def test_holonomy_construction_failure():
     with pytest.raises(ConstructionFailure):
         pants_holonomy(PantsBoundary(1e-14, 1.0, 1.0))
+    # the oracle runs the same construction, and the refusal is a ValueError
+    with pytest.raises(ValueError, match="too close to the cusp limit"):
+        trace_length_oracle(PantsBoundary(1e-14, 1.0, 1.0), CurveClass(1, 2))
+
+
+@pytest.mark.parametrize(
+    "ls, m, n, expected",
+    [
+        ((1.0, 1.5, 2.0), 2, 3, 9.044970553538548),
+        ((0.5, 0.0, 1.0), 3, 1, 5.617058257579078),
+        ((1e-11, 1.0, 1.0), 1, 2, 5.157799560315721),
+        ((1e-9, 2.0, 0.0), 4, 5, 14.535047402663901),
+    ],
+    ids=["generic", "cusp-l2", "l1-1e-11", "l1-1e-9-cusp-l3"],
+)
+def test_oracle_pinned_floats(ls, m, n, expected):
+    # the same binary64 values the oracle gave before its holonomy became
+    # the single 40-digit construction, generic and near-cusp inputs alike
+    assert trace_length_oracle(PantsBoundary(*ls), CurveClass(m, n)) == expected
 
 
 def test_oracle_ideal_values():

@@ -8,7 +8,6 @@ from hypcross import verifier
 from hypcross.verifier import (
     CASE_SPLIT,
     BracketFailure,
-    ChainViolation,
     DomainError,
     SuiteReport,
     constants,
@@ -187,9 +186,6 @@ def _chunked_concavity_chain(t_grid: int) -> SuiteReport:
     tab = constants()
     rep.add("gap-below-threshold", CASE_SPLIT - tab.gap)
 
-    for c in rep.checks:
-        if not c.passed:
-            raise ChainViolation(f"{c.id} failed at {c.witness} (margin {c.margin})")
     return rep
 
 
@@ -200,17 +196,32 @@ def test_concavity_chain_matches_whole_chunk_reference(t_grid):
     assert verify_concavity_chain(t_grid).as_dict() == _chunked_concavity_chain(t_grid).as_dict()
 
 
-def test_concavity_chain_reports_a_convex_arc(monkeypatch):
-    # sinh(s*t)*coshw1 is convex in s, so check (a) must fail; its worst
-    # point is the grid's last row and column, which pins both indices
-    def convex_arc(s, t, coshw1, out=None):
-        x = np.multiply(s, t, out=out)
-        x = np.sinh(x, out=out)
-        return np.multiply(x, coshw1, out=out)
+def convex_arc(s, t, coshw1, out=None):
+    """verifier._arc without the asinh: sinh(s*t)*coshw1, convex in s."""
+    x = np.multiply(s, t, out=out)
+    x = np.sinh(x, out=out)
+    return np.multiply(x, coshw1, out=out)
 
+
+def test_concavity_chain_reports_a_convex_arc(monkeypatch):
+    # check (a) must fail; its worst point is the grid's last row and
+    # column, which pins both indices
     monkeypatch.setattr(verifier, "_arc", convex_arc)
-    with pytest.raises(ChainViolation, match=r"arc-concave-in-winding failed at \{'alpha': 6\.0, 't': 0\.53\}"):
-        verify_concavity_chain(100)
+    rep = verify_concavity_chain(100)
+    assert not rep.passed
+    failed = [c for c in rep.checks if not c.passed]
+    assert failed[0].id == "arc-concave-in-winding"
+    assert failed[0].witness == {"alpha": 6.0, "t": 0.53}
+    assert failed[0].margin < 0
+
+
+def test_case1_chain_reports_a_failed_rewrite(monkeypatch):
+    # without the asinh the arc term no longer equals 2*log(T + sqrt(T^2+1)):
+    # the chain returns its report with the failed check instead of raising
+    monkeypatch.setattr(verifier, "_arc", convex_arc)
+    rep = verify_case1_chain(100)
+    assert not rep.passed
+    assert [c.id for c in rep.checks if not c.passed] == ["arc-term-rewrite"]
 
 
 def test_case1_chain_report():

@@ -89,12 +89,14 @@ def test_saccheri_quadrilateral_oracle(W, core, width):
 
 @pytest.mark.parametrize("W", [0.1, 0.5, 1.0, 2.0, 5.0, 10.0])
 def test_cusp_distance_oracle(W):
-    assert verify_cusp_lemma_geometrically(W, 1) < 1e-12
+    assert verify_cusp_lemma_geometrically(W) < 1e-12
 
 
 def test_cusp_oracle_grid_and_small_regime():
-    assert verify_cusp_lemma_geometrically(10.0, 6) < 1e-12
-    assert verify_cusp_lemma_geometrically(1e-8, 1) < 1e-12
+    # one call per winding number of the log-spaced grid from 1e-2 to 10
+    for W in np.geomspace(1e-2, 10.0, 6):
+        assert verify_cusp_lemma_geometrically(float(W)) < 1e-12
+    assert verify_cusp_lemma_geometrically(1e-8) < 1e-12
 
 
 def test_query_validation():
