@@ -6,10 +6,10 @@ selfint and spectrum, whose records are named tuples, not dataclasses; import
 the numeric ones by name; collar, pants and verifier need numpy, winding does
 not):
   halfplane  -- isometries, distance, axes, trace-length dictionary, and
-                the 2x2 tuple kernel (mat_mul, mat_inv, mat_pow, moebius,
-                moebius_point, fixed_points) shared by words, selfint, pants
+                the 2x2 tuple kernel (mat_mul, mat_inv, moebius,
+                moebius_point, fixed_points) shared by words and selfint
   collar     -- collar half-widths, asymmetric profiles, hexagon gap
-  pants      -- two-boundary winding curve lengths with a holonomy oracle
+  pants      -- two-boundary winding curve lengths with a trace oracle
   winding    -- arc length <-> winding number dictionary for collars and cusps
   verifier   -- grid audits of the sharp-bound inequality chains
   words      -- rank-2 free-group words and conjugacy classes

@@ -4,7 +4,8 @@ Every run emits one self-describing JSON document (stable key order, so runs
 with identical flags are byte-identical); the spectrum subcommand emits a
 tab-separated table instead.  Exit codes: 0 success, 1 failed checks,
 2 usage errors, including a ValueError raised by the library on an
-out-of-range input and an OSError on a bad --config, --out or --cache path
+out-of-range input, an OverflowError, a result that strict JSON cannot hold
+(NaN or Infinity) and an OSError on a bad --config, --out or --cache path
 (each reported as one line on stderr, without a traceback).
 
 The numeric modules (collar, pants, winding, verifier) are imported inside the
@@ -32,7 +33,7 @@ def _document(command: str, config: dict, results: dict) -> str:
         "results": results,
         "version": __version__,
     }
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -271,7 +272,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"{parser.prog} {args.command}: error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,10 +1,10 @@
 """Upper half-plane primitives: isometries, distance, axes, trace-length dictionary.
 
-The 2x2 matrix kernel (mat_mul, mat_inv, mat_pow, moebius, moebius_point,
+The 2x2 matrix kernel (mat_mul, mat_inv, moebius, moebius_point,
 fixed_points) works on plain tuples (a, b, c, d) for [[a, b], [c, d]].  The
-product, inverse and power use only +, - and *, so int, float and mpmath.mpf
-entries all work and int entries stay exact.  Words, selfint, pants and
-Isometry, itself an (a, b, c, d) tuple, all go through it.
+product and inverse use only +, - and *, so int and float entries both work
+and int entries stay exact.  Words, selfint and Isometry, itself an
+(a, b, c, d) tuple, all go through it.
 
 Isometry, Point and Axis are named tuples, not dataclasses, which keeps
 dataclasses and inspect out of ``import hypcross``.  Each checks its arguments
@@ -45,16 +45,6 @@ def mat_inv(m):
     """Adjugate (d, -b, -c, a): the inverse of a unit-determinant matrix."""
     a, b, c, d = m
     return (d, -b, -c, a)
-
-
-def mat_pow(m, k: int):
-    """m**k for k >= 1, multiplied left to right: ((m*m)*m)*..."""
-    if k < 1:
-        raise ValueError(f"exponent must be >= 1, got {k}")
-    out = m
-    for _ in range(k - 1):
-        out = mat_mul(out, m)
-    return out
 
 
 def moebius(m, x):
@@ -114,7 +104,7 @@ class Isometry(namedtuple("Isometry", "a b c d")):
         return "elliptic" if t < 2.0 else "hyperbolic"
 
     def inverse(self) -> "Isometry":
-        return Isometry(self.d, -self.b, -self.c, self.a)
+        return Isometry(*mat_inv(self))
 
 
 IDENTITY = Isometry(1.0, 0.0, 0.0, 1.0)

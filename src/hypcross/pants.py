@@ -1,10 +1,10 @@
 """Lengths of closed curves winding around two boundaries of a pair of pants.
 
 The closed-form length (a product of Chebyshev-type sinh ratios and cosh
-terms) is paired with an independent holonomy oracle: build generator matrices
-realizing the boundary trace triple in 40-digit arithmetic, check that they
-meet it, and measure the translation length of the word A^m B^n directly.
-Both must agree to 1e-9.
+terms) is paired with an independent trace oracle: the trace of the word
+a^m b^n as an integer polynomial in the boundary traces, built from the trace
+identities alone and evaluated in binary64 without cancellation.  Both must
+agree to 1e-9.
 """
 
 from __future__ import annotations
@@ -14,11 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .halfplane import mat_inv, mat_mul, mat_pow
-
-
-class ConstructionFailure(ValueError):
-    """Holonomy constraint solve hit a degenerate parametrization."""
+from .words import INVERSE, canonical_class, inverse_word
 
 
 @dataclass(frozen=True)
@@ -79,74 +75,82 @@ def _length_rhs(l1: float, l2: float, l3: float, m: int, n: int) -> float:
     return r1 * r2 * (c3 + c1 * c2) + math.cosh(0.5 * m * l1) * math.cosh(0.5 * n * l2)
 
 
-def pants_holonomy(P: PantsBoundary):
-    """Generators (A, B) with trace triple (2c1, 2c2, tr(A B^-1) = -2c3),
-    ci = cosh(li/2), as (a, b, c, d) tuples of 40-digit mpf entries.
+# ------------------------------------------------ Fricke trace polynomials
+#
+# With boundary traces tr a = x = 2cosh(l1/2), tr b = y and tr aB = -z (so
+# tr ab = xy + z), every word's trace is an integer polynomial in x, y, z
+# (Goldman, "Trace coordinates on Fricke spaces of some simple hyperbolic
+# surfaces", 2009), kept as {(i, j, k): coefficient of u^i v^j s^k} in the
+# shifted x = 2 + u, y = 2 + v, z = 2 + s, which vanish on the three-cusp sphere.
 
-    A is in normal form (diagonal when boundary 1 is a geodesic, the unit
-    translation-by-2 parabolic when it is a cusp); B is solved from its trace
-    and the tr(A B^-1) constraint, leftover gauge fixed by a positive
-    lower-left entry, balanced so |q| = r.  For the three-cusp case this is
-    exactly A = [[1,2],[0,1]], B = [[1,0],[2,1]].  Short (but nonzero) first
-    boundaries force entries of size ~1/sinh(l1/2): the construction is
-    refused once 2 sinh(l1/2) < 1e-12, and fails if the three trace
-    constraints miss by more than 1e-9 or A*B is not hyperbolic.
-    """
-    import mpmath
-    from mpmath import mpf
+MAX_WINDING = 80  # the oracle's range m + n <= MAX_WINDING bounds its build time and recursion depth
 
-    with mpmath.workdps(40):
-        c1, c2, c3 = (mpmath.cosh(mpf(l) / 2) for l in (P.l1, P.l2, P.l3))
-        if P.l1 == 0.0:
-            A = (mpf(1), mpf(2), mpf(0), mpf(1))
-            r = c2 + c3
-            p = s = c2
-            q = (c2 * c2 - 1) / r
-        else:
-            lam = mpmath.exp(mpf(P.l1) / 2)
-            denom = lam - 1 / lam  # 2 sinh(l1/2)
-            if denom < 1e-12:
-                raise ConstructionFailure(f"boundary length l1 = {P.l1} too close to the cusp limit")
-            A = (lam, mpf(0), mpf(0), 1 / lam)
-            p = (2 * c2 * lam + 2 * c3) / denom
-            s = 2 * c2 - p
-            off = p * s - 1
-            r = mpmath.sqrt(abs(off)) if off != 0 else mpf(1)
-            q = off / r
-        B = (p, q, r, s)
+_TRACES = {
+    "": {(0, 0, 0): 2},
+    "a": {(0, 0, 0): 2, (1, 0, 0): 1},
+    "b": {(0, 0, 0): 2, (0, 1, 0): 1},
+    "ab": {(0, 0, 0): 6, (1, 0, 0): 2, (0, 1, 0): 2, (1, 1, 0): 1, (0, 0, 1): 1},
+    "aB": {(0, 0, 0): -2, (0, 0, 1): -1},
+}
 
-        ab_inv = mat_mul(A, mat_inv(B))
-        err = max(
-            abs(abs(A[0] + A[3]) - 2 * c1),
-            abs(abs(B[0] + B[3]) - 2 * c2),
-            abs(ab_inv[0] + ab_inv[3] + 2 * c3),
-        )
-        if err > 1e-9:
-            raise ConstructionFailure(f"trace constraints violated by {float(err):.3e}")
-        ab = mat_mul(A, B)
-        if ab[0] + ab[3] <= 2:
-            raise ConstructionFailure("A*B is not hyperbolic")
-    return A, B
+
+def _poly_mul(p: dict, q: dict) -> dict:
+    out: dict = {}
+    for (i, j, k), c in p.items():
+        for (i2, j2, k2), c2 in q.items():
+            e = (i + i2, j + j2, k + k2)
+            out[e] = out.get(e, 0) + c * c2
+    return out
+
+
+def _trace(w: str) -> dict:
+    """Signed trace polynomial of the class of w, memoised on canonical_class
+    (a trace is invariant under conjugation and inversion).
+
+    The closest pair of equal letters c, w = cPcQ up to rotation, gives
+    tr(cP)*tr(cQ) - tr(PQ^-1), three shorter words.  With no letter repeated,
+    w = cPCQ gives tr(cP)*tr(CQ) - tr(cPQ^-1c), whose last word is no longer
+    than w and repeats c."""
+    w = canonical_class(w)
+    if w in _TRACES:
+        return _TRACES[w]
+    n = len(w)
+    pairs = [(j - i, i) for i in range(n) for j in range(i + 1, n) if w[j] == w[i]]
+    d, i = min(pairs) if pairs else (w.index(INVERSE[w[0]]), 0)
+    r = w[i:] + w[:i]
+    c, p, q = r[0], r[1:d], r[d + 1:]
+    if r[d] == c:
+        poly, rest = _poly_mul(_trace(c + p), _trace(c + q)), _trace(p + inverse_word(q))
+    else:
+        poly, rest = _poly_mul(_trace(c + p), _trace(r[d:])), _trace(c + p + inverse_word(q) + c)
+    for e, coef in rest.items():
+        poly[e] = poly.get(e, 0) - coef
+    _TRACES[w] = poly = {e: coef for e, coef in poly.items() if coef}
+    return poly
+
+
+def trace_polynomial(w: str) -> dict:
+    """Trace polynomial of the word w, signed so that its constant term (the
+    trace on the three-cusp sphere) is positive.  Every coefficient is then a
+    non-negative integer (tested through word length 8, and 12 in CI): |tr w|
+    grows with each boundary length, as Parlier proves ("Lengths of geodesics
+    on Riemann surfaces with boundary", 2005), and binary64 evaluation adds
+    positive terms only, with nothing lost to cancellation."""
+    poly = _trace(w)
+    sign = 1 if poly[(0, 0, 0)] > 0 else -1
+    return {e: sign * c for e, c in poly.items()}
 
 
 def trace_length_oracle(P: PantsBoundary, C: CurveClass) -> float:
-    """Independent length of the (m, n) curve: translation length of the
-    matrix product A^m B^n in the pants holonomy.
-
-    Short first boundaries force generator entries ~1/sinh(l1/2), and binary64
-    matrix powers then amplify rounding by that factor per multiplication, so
-    the product is carried out in 40-digit arithmetic and only the final
-    length is rounded.  Must match gamma_mn_length to 1e-9.
-    """
-    import mpmath
-
-    with mpmath.workdps(40):
-        A, B = pants_holonomy(P)
-        word = mat_mul(mat_pow(A, C.m), mat_pow(B, C.n))
-        tr = word[0] + word[3]
-        if abs(tr) <= 2:
-            raise ConstructionFailure(f"word trace {tr} is not hyperbolic")
-        return float(2 * mpmath.acosh(abs(tr) / 2))
+    """Independent length of the (m, n) curve: 2*acosh(|tr|/2) of the word
+    a^m b^n, its trace polynomial evaluated at u = 2cosh(l1/2) - 2 =
+    4sinh(l1/4)^2 and so on.  Refuses m + n > MAX_WINDING.  Must match
+    gamma_mn_length to 1e-9."""
+    if C.m + C.n > MAX_WINDING:
+        raise ValueError(f"the trace oracle covers m + n <= {MAX_WINDING}, got m + n = {C.m + C.n}")
+    u, v, s = (4.0 * math.sinh(0.25 * l) ** 2 for l in (P.l1, P.l2, P.l3))
+    tr = sum(c * u**i * v**j * s**k for (i, j, k), c in trace_polynomial("a" * C.m + "b" * C.n).items())
+    return 2.0 * math.acosh(0.5 * tr)
 
 
 def _ratio_grid(m: int, L: np.ndarray) -> np.ndarray:

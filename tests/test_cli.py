@@ -107,8 +107,15 @@ def test_usage_error_exit_code(capsys):
         ["winding", "--cusp", "--w", "-1"],
         ["pants-min", "--cap", "6", "--lmax", "0", "--grid", "16"],
         ["pants-min", "--cap", "6", "--lmax", "inf", "--grid", "16"],
-        # the holonomy oracle refuses a first boundary this close to a cusp
-        ["pants-length", "--l1", "1e-14", "--l2", "1", "--l3", "1", "--m", "1", "--n", "2", "--oracle"],
+        # m + n above the trace oracle's range
+        ["pants-length", "--l1", "1", "--l2", "1", "--l3", "1", "--m", "80", "--n", "1", "--oracle"],
+        # a float that overflows, or a result that strict JSON cannot hold
+        ["collar", "--length", "1500"],
+        ["pants-length", "--l1", "1500", "--l2", "1", "--l3", "1", "--m", "1", "--n", "2"],
+        ["pants-length", "--l1", "1", "--l2", "1", "--l3", "1", "--m", "100000", "--n", "2"],
+        ["collar", "--length", "1e-320"],
+        ["collar", "--length", "1e-320", "--scan"],
+        ["winding", "--cusp", "--w", "1e155"],
     ],
 )
 @pytest.mark.filterwarnings("error")  # a warning would print to stderr outside pytest

@@ -22,7 +22,6 @@ from hypcross.halfplane import (
     length_from_trace,
     mat_inv,
     mat_mul,
-    mat_pow,
     moebius,
     moebius_point,
     translation_length,
@@ -227,26 +226,9 @@ def test_kernel_int_products_stay_exact():
 def test_kernel_inverse_and_power():
     g = (5, 2, 2, 1)
     assert mat_mul(g, mat_inv(g)) == (1, 0, 0, 1)
-    assert mat_pow(g, 1) == g
-    assert mat_pow(g, 3) == mat_mul(mat_mul(g, g), g)
-    assert mat_pow(GEN_MAT["a"], 5) == (1, 10, 0, 1)
-    with pytest.raises(ValueError):
-        mat_pow(g, 0)
-
-
-def test_kernel_mpf_power_is_the_left_to_right_product():
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(40):
-        lam = mpmath.exp(mpmath.mpf("0.37"))
-        g = (lam, mpmath.mpf(2) / 3, mpmath.sqrt(2), (1 + mpmath.sqrt(2) * 2 / 3) / lam)
-        got = mat_pow(g, 7)
-        p, q, r, s = g
-        want = g
-        for _ in range(6):
-            a, b, c, d = want
-            want = (a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s)
-        assert all(isinstance(x, mpmath.mpf) for x in got)
-        assert got == want
+    assert mat_inv(mat_inv(g)) == g
+    assert word_matrix("aaaaa") == (1, 10, 0, 1)
+    assert word_matrix("AAA") == mat_inv(word_matrix("aaa")) == (1, -6, 0, 1)
 
 
 def test_kernel_moebius_on_int_entries_and_interior_points():
@@ -328,7 +310,6 @@ def test_isometry_is_a_kernel_tuple():
     g, h = Isometry(5, 2, 2, 1), Isometry(9, 4, 2, 1)
     assert mat_mul(g, h) == tuple(compose(g, h)) == (49, 22, 20, 9)
     assert mat_inv(g) == tuple(g.inverse())
-    assert mat_pow(g, 3) == mat_mul(mat_mul(g, g), g)
     assert moebius(g, 0.5) == apply_boundary(g, 0.5) == 2.25
     assert moebius(g, INFINITY) == apply_boundary(g, INFINITY) == 2.5
     assert tuple(sorted(fixed_points(h))) == tuple(axis_of(h))

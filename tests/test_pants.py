@@ -1,6 +1,5 @@
 import math
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,15 +7,16 @@ from hypothesis import strategies as st
 
 from hypcross.halfplane import mat_inv, mat_mul
 from hypcross.pants import (
-    ConstructionFailure,
+    MAX_WINDING,
     CurveClass,
     PantsBoundary,
     chebyshev_ratio,
     gamma_mn_length,
     minimize_over_moduli,
-    pants_holonomy,
     trace_length_oracle,
+    trace_polynomial,
 )
+from hypcross.words import GEN_MAT, enumerate_classes, word_trace
 
 IDEAL = PantsBoundary(0.0, 0.0, 0.0)
 
@@ -57,65 +57,49 @@ def test_length_regression_generic_pants():
     assert abs(got - 9.044970553538548) < 1e-9
 
 
-def test_ideal_holonomy_normal_form():
-    A, B = pants_holonomy(IDEAL)
-    assert A == (1, 2, 0, 1)
-    assert B == (1, 0, 2, 1)
+def test_trace_polynomial_nonnegative_with_the_cusp_trace_as_constant():
+    # the no-cancellation premise of the oracle, on every class through length 8
+    classes = enumerate_classes(8)
+    assert len(classes) == 673
+    for w in classes:
+        poly = trace_polynomial(w)
+        assert all(type(c) is int and c >= 0 for c in poly.values()), w
+        assert poly[(0, 0, 0)] == abs(word_trace(w)), w
+
+
+@pytest.mark.parametrize(
+    "A, B",
+    [((2, 1, 3, 2), (1, 1, 1, 2)), ((5, 2, 2, 1), (1, -1, 1, 0)), (GEN_MAT["a"], GEN_MAT["b"])],
+    ids=["hyperbolic", "elliptic-b", "three-cusp"],
+)
+def test_trace_polynomial_matches_integer_matrix_traces(A, B):
+    # any A, B in SL2(Z) realize x = tr A, y = tr B, z = -tr(AB^-1), so the
+    # signed polynomial at the shifted traces is the word's exact trace
+    gens = {"a": A, "A": mat_inv(A), "b": B, "B": mat_inv(B)}
     ab_inv = mat_mul(A, mat_inv(B))
-    assert ab_inv == (-3, 2, -2, 1)
-    assert ab_inv[0] + ab_inv[3] == -2
-
-
-def test_holonomy_entries_are_40_digit():
-    A, B = pants_holonomy(PantsBoundary(1.0, 1.5, 2.0))
-    for x in A + B:
-        assert isinstance(x, mpmath.mpf)
-    assert mpmath.mp.dps == 15  # the 40 digits are local to the construction
-    with mpmath.workdps(40):
-        assert abs(A[0] - mpmath.exp(mpmath.mpf(0.5))) < mpmath.mpf(10) ** -39
-
-
-def test_holonomy_trace_identity():
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        ls = rng.uniform(0, 4, 3)
-        ls[rng.random(3) < 0.3] = 0.0
-        A, B = pants_holonomy(PantsBoundary(*ls))
-        c1, c2, c3 = (math.cosh(0.5 * l) for l in ls)
-        with mpmath.workdps(40):
-            ab = mat_mul(A, B)
-            tr_ab = ab[0] + ab[3]
-        assert abs(tr_ab - (4 * c1 * c2 + 2 * c3)) < 1e-9
-        assert tr_ab > 2.0
-
-
-def test_holonomy_mixed_cusp():
-    A, B = pants_holonomy(PantsBoundary(2 * math.asinh(1.0), 0.0, 0.0))
-    assert abs((A[0] + A[3]) - 2 * math.sqrt(2)) < 1e-12
-    assert abs((B[0] + B[3]) - 2) < 1e-12
-
-
-def test_holonomy_construction_failure():
-    with pytest.raises(ConstructionFailure):
-        pants_holonomy(PantsBoundary(1e-14, 1.0, 1.0))
-    # the oracle runs the same construction, and the refusal is a ValueError
-    with pytest.raises(ValueError, match="too close to the cusp limit"):
-        trace_length_oracle(PantsBoundary(1e-14, 1.0, 1.0), CurveClass(1, 2))
+    u, v, s = A[0] + A[3] - 2, B[0] + B[3] - 2, -(ab_inv[0] + ab_inv[3]) - 2
+    for w in enumerate_classes(6):
+        m = (1, 0, 0, 1)
+        for ch in w:
+            m = mat_mul(m, gens[ch])
+        got = sum(c * u**i * v**j * s**k for (i, j, k), c in trace_polynomial(w).items())
+        assert got == (1 if word_trace(w) > 0 else -1) * (m[0] + m[3]), w
 
 
 @pytest.mark.parametrize(
     "ls, m, n, expected",
     [
         ((1.0, 1.5, 2.0), 2, 3, 9.044970553538548),
-        ((0.5, 0.0, 1.0), 3, 1, 5.617058257579078),
+        ((0.5, 0.0, 1.0), 3, 1, 5.617058257579077),
         ((1e-11, 1.0, 1.0), 1, 2, 5.157799560315721),
-        ((1e-9, 2.0, 0.0), 4, 5, 14.535047402663901),
+        ((1e-9, 2.0, 0.0), 4, 5, 14.53504740266391),
     ],
     ids=["generic", "cusp-l2", "l1-1e-11", "l1-1e-9-cusp-l3"],
 )
 def test_oracle_pinned_floats(ls, m, n, expected):
-    # the same binary64 values the oracle gave before its holonomy became
-    # the single 40-digit construction, generic and near-cusp inputs alike
+    # the binary64 values of the trace-polynomial oracle, generic and
+    # near-cusp inputs alike; each equals gamma_mn_length here
+    assert gamma_mn_length(PantsBoundary(*ls), CurveClass(m, n)) == expected
     assert trace_length_oracle(PantsBoundary(*ls), CurveClass(m, n)) == expected
 
 
@@ -126,6 +110,23 @@ def test_oracle_ideal_values():
         assert abs(got - 2 * math.acosh(2 * k + 1)) < 1e-12
     assert abs(trace_length_oracle(IDEAL, CurveClass(1, 2)) - 2 * math.acosh(5.0)) < 1e-12
     assert abs(trace_length_oracle(IDEAL, CurveClass(1, 1)) - 2 * math.acosh(3.0)) < 1e-12
+
+
+def test_oracle_at_long_and_near_cusp_boundaries():
+    # far outside verify's samples, where a product of generator matrices
+    # loses digits to cancellation and a sum of positive terms does not
+    for ls in ((1.0, 1.0, 100.0), (146.0, 1.0, 1.0), (1e-14, 1.0, 1.0)):
+        for m, n in ((2, 3), (1, 2)):
+            P, C = PantsBoundary(*ls), CurveClass(m, n)
+            assert abs(trace_length_oracle(P, C) - gamma_mn_length(P, C)) < 1e-9, (ls, m, n)
+
+
+def test_oracle_range():
+    half = MAX_WINDING // 2
+    C = CurveClass(half, MAX_WINDING - half)
+    assert trace_length_oracle(IDEAL, C) == 2 * math.acosh(2 * C.m * C.n + 1)
+    with pytest.raises(ValueError, match="m \\+ n <= 80"):
+        trace_length_oracle(IDEAL, CurveClass(half, MAX_WINDING - half + 1))
 
 
 def test_formula_oracle_equivalence_random():
