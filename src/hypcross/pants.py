@@ -153,6 +153,9 @@ def trace_length_oracle(P: PantsBoundary, C: CurveClass) -> float:
     return 2.0 * math.acosh(0.5 * tr)
 
 
+MIN_GRID_STEP = 6.7e-8  # below 6.665e-8, binary64 cannot see the (1, 2) curve's length grow one step from the cusp
+
+
 def _ratio_grid(m: int, L: np.ndarray) -> np.ndarray:
     """Vectorized chebyshev_ratio with the exact limit substituted at L = 0."""
     out = np.full_like(L, float(m))
@@ -166,8 +169,12 @@ def minimize_over_moduli(
     mn_cap: int, length_cap: float, grid: int
 ) -> tuple[PantsBoundary, CurveClass, float]:
     """Grid search of the curve length over (l1, l2, l3) in [0, length_cap]^3
-    and all winding pairs with m + n >= 3, m*n <= mn_cap; length_cap must be
-    finite and > 0.
+    and all winding pairs with m + n >= 3, m*n <= mn_cap.
+
+    Domain: length_cap is finite, its grid step length_cap / (grid - 1) is at
+    least MIN_GRID_STEP, and no grid cell overflows binary64; the largest,
+    the (mn_cap, 1) curve at the corner, grows like
+    exp((mn_cap + 1) * length_cap / 2).  Outside it, a ValueError.
 
     Zero is always a grid point, so the cusp boundary of moduli space is
     scanned exactly.  Ties are broken lexicographically on (l1, l2, l3, m, n).
@@ -181,6 +188,32 @@ def minimize_over_moduli(
         raise ValueError(f"grid must be >= 2, got {grid}")
     if not (math.isfinite(length_cap) and length_cap > 0.0):
         raise ValueError(f"length_cap must be finite and > 0, got {length_cap}")
+    h = length_cap / (grid - 1)
+    if h < MIN_GRID_STEP:
+        raise ValueError(f"grid step length_cap / (grid - 1) must be >= {MIN_GRID_STEP}, got {h}")
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            value, l1, l2, l3, m, n = _grid_minimum(mn_cap, length_cap, grid)
+    except FloatingPointError:
+        x = 0.5 * (mn_cap + 1) * length_cap
+        raise ValueError(
+            f"the grid overflows binary64: its largest cell grows like exp((mn_cap + 1) * length_cap / 2) "
+            f"= exp({x}), which must stay below about exp(710)"
+        ) from None
+
+    P = PantsBoundary(l1, l2, l3)
+    C = CurveClass(m, n)
+    for i in (1, 2, 3):
+        bumped = [l1, l2, l3]
+        bumped[i - 1] += h
+        up = gamma_mn_length(PantsBoundary(*bumped), C)
+        if not up > value:
+            raise ArithmeticError(f"objective not increasing in l{i} at the minimizer")
+    return P, C, value
+
+
+def _grid_minimum(mn_cap: int, length_cap: float, grid: int) -> tuple[float, float, float, float, int, int]:
+    """(length, l1, l2, l3, m, n) of the least grid cell, first in that order."""
     ls = np.linspace(0.0, length_cap, grid)
     L1, L2, L3 = np.meshgrid(ls, ls, ls, indexing="ij")
     c1 = np.cosh(0.5 * L1)
@@ -216,15 +249,4 @@ def minimize_over_moduli(
         if best is None or cand < best:
             best = cand
     assert best is not None
-    value, l1, l2, l3, m, n = best
-
-    P = PantsBoundary(l1, l2, l3)
-    C = CurveClass(m, n)
-    h = length_cap / (grid - 1)
-    for i in (1, 2, 3):
-        bumped = [l1, l2, l3]
-        bumped[i - 1] += h
-        up = gamma_mn_length(PantsBoundary(*bumped), C)
-        if not up > value:
-            raise ArithmeticError(f"objective not increasing in l{i} at the minimizer")
-    return P, C, value
+    return best

@@ -20,6 +20,8 @@ which is not a reported check, raises (ChainViolation).
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -219,6 +221,76 @@ def _case_split_T(t):
     return T, Tm2
 
 
+_ROW_BLOCK = 8  # alpha rows per numpy call: each call must run long enough that its released GIL lets slices overlap
+
+
+def _workers() -> int:
+    """Usable CPUs: the affinity mask where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _concavity_slice(alphas, ts, lo, coshw1, ref, f0, second, incr, rows) -> None:
+    """Checks (a) and (b) on the column slice ts (first column lo of the full
+    grid) of every alpha row, _ROW_BLOCK rows per numpy call.
+
+    f0 and second are (block, len(ts)) buffers; incr has one extra leading row
+    that carries the previous block's last increment.  For each row, rows
+    receives the max of the second difference and its column, the min of the
+    increment gap and its column (rows with alpha <= 1 only), and the min of
+    the drop in increments from the row before (not row 0).
+    """
+    second_max, second_col, gap_min, gap_col, drop_min = rows
+    block = len(f0)
+    for r0 in range(0, len(alphas), block):
+        a = alphas[r0 : r0 + block, None]
+        nb = len(a)
+        f, s, new = f0[:nb], second[:nb], incr[1 : nb + 1]
+        h = 0.01 * a
+        np.multiply(_arc(a, ts, coshw1, f), 2.0, out=f)
+        # arc(alpha - h) borrows incr's rows before arc(alpha + 1) fills them
+        np.add(_arc(a + h, ts, coshw1, s), _arc(a - h, ts, coshw1, new), out=s)
+        np.subtract(s, f, out=s)
+        j = np.argmax(s, axis=1)
+        second_max[r0 : r0 + nb] = s[np.arange(nb), j]
+        second_col[r0 : r0 + nb] = j + lo
+
+        np.multiply(_arc(a + 1.0, ts, coshw1, new), 2.0, out=new)
+        np.subtract(new, f, out=new)
+        k = int(np.count_nonzero(a <= 1.0))  # alphas ascend: a prefix of the block
+        if k:
+            gap = np.subtract(new[:k], ref, out=s[:k])
+            j = np.argmin(gap, axis=1)
+            gap_min[r0 : r0 + k] = gap[np.arange(k), j]
+            gap_col[r0 : r0 + k] = j + lo
+        first = 1 if r0 == 0 else 0  # row 0 has no row before it
+        drop = np.negative(np.subtract(incr[1 + first : nb + 1], incr[first:nb], out=f[first:]), out=f[first:])
+        np.min(drop, axis=1, out=drop_min[r0 + first : r0 + nb])
+        incr[0] = incr[nb]
+
+
+def _run_in_threads(fn, arg_tuples) -> None:
+    """Call fn(*args) for each args, the first in this thread and each other
+    in a thread of its own; re-raise the first exception any call raised."""
+    errors = []
+
+    def run(args):
+        try:
+            fn(*args)
+        except BaseException as exc:  # handed to the caller, which re-raises it
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(args,)) for args in arg_tuples[1:]]
+    for th in threads:
+        th.start()
+    run(arg_tuples[0])
+    for th in threads:
+        th.join()
+    if errors:
+        raise errors[0]
+
+
 def verify_concavity_chain(t_grid: int = 10_000) -> SuiteReport:
     """Audit the short-loop chain on dense grids.
 
@@ -230,10 +302,15 @@ def verify_concavity_chain(t_grid: int = 10_000) -> SuiteReport:
     2 asinh 4 - 2 asinh 2 > 1.06 over u > 2; (d) the gap between the two
     sharp constants stays below 1.06.
 
-    The 1000 x t_grid (alpha, t) grid of (a) and (b) is walked one alpha row
-    at a time into a few reused buffers of length t_grid, and an extremum
-    replaces the current witness only when strictly better, so each witness
-    is the first extremum of the grid in row-major order.
+    The 1000 x t_grid (alpha, t) grid of (a) and (b) is split into contiguous
+    column slices of t, one per usable CPU, each walked by its own thread
+    (the first by the caller) through every alpha row, 8 rows per numpy call
+    into three buffers of its own.  Each slice records, per row, its
+    extremum of each check and the column where it first occurs.  The rows
+    are then merged in order: within a row the leftmost slice wins a tie,
+    and across rows an extremum replaces the current witness only when
+    strictly better.  So each margin and each witness, the first extremum of
+    the grid in row-major order, do not depend on the number of slices.
     """
     if t_grid < 100:
         raise ValueError(f"t_grid must be >= 100, got {t_grid}")
@@ -248,34 +325,41 @@ def verify_concavity_chain(t_grid: int = 10_000) -> SuiteReport:
     coshw1 = _coshw1(ts)
     ref = 2.0 * _arc(2.0, ts, coshw1) - 2.0 * _arc(1.0, ts, coshw1)
 
+    n = min(_workers(), t_grid)
+    edges = [t_grid * k // n for k in range(n + 1)]
+    second_max, gap_min, drop_min = (np.empty((n, len(alphas))) for _ in range(3))
+    second_col, gap_col = (np.empty((n, len(alphas)), dtype=np.intp) for _ in range(2))
+    slices = []
+    for k, (lo, hi) in enumerate(zip(edges, edges[1:])):
+        f0, second, incr = (np.empty((_ROW_BLOCK + extra, hi - lo)) for extra in (0, 0, 1))
+        rows = (second_max[k], second_col[k], gap_min[k], gap_col[k], drop_min[k])
+        slices.append((alphas, ts[lo:hi], lo, coshw1[lo:hi], ref[lo:hi], f0, second, incr, rows))
+    _run_in_threads(_concavity_slice, slices)
+
+    # argmax and argmin over the slices take the first, leftmost, on a tie
+    k = np.argmax(second_max, axis=0)
+    row_second = second_max[k, np.arange(len(alphas))].tolist()
+    col_second = second_col[k, np.arange(len(alphas))].tolist()
+    small = int(np.count_nonzero(alphas <= 1.0))
+    k = np.argmin(gap_min[:, :small], axis=0)
+    row_gap = gap_min[k, np.arange(small)].tolist()
+    col_gap = gap_col[k, np.arange(small)].tolist()
+    row_drop = np.min(drop_min[:, 1:], axis=0).tolist()
+
     worst_second = -math.inf
     worst_pt = None
     worst_incr = math.inf
     incr_pt = None
     worst_mono = math.inf
-    f0, second, spare, incr, prev = (np.empty(t_grid) for _ in range(5))
-    for i, alpha in enumerate(alphas):
-        h = 0.01 * alpha
-        np.multiply(_arc(alpha, ts, coshw1, f0), 2.0, out=f0)
-        np.add(_arc(alpha + h, ts, coshw1, second), _arc(alpha - h, ts, coshw1, spare), out=second)
-        np.subtract(second, f0, out=second)
-        j = int(np.argmax(second))
-        if second[j] > worst_second:
-            worst_second = float(second[j])
-            worst_pt = {"alpha": float(alpha), "t": float(ts[j])}
-
-        np.multiply(_arc(alpha + 1.0, ts, coshw1, incr), 2.0, out=incr)
-        np.subtract(incr, f0, out=incr)
-        if alpha <= 1.0:
-            gap = np.subtract(incr, ref, out=spare)
-            j = int(np.argmin(gap))
-            if gap[j] < worst_incr:
-                worst_incr = float(gap[j])
-                incr_pt = {"alpha": float(alpha), "t": float(ts[j])}
+    for i, alpha in enumerate(alphas.tolist()):
+        if row_second[i] > worst_second:
+            worst_second = row_second[i]
+            worst_pt = {"alpha": alpha, "t": float(ts[col_second[i]])}
+        if i < small and row_gap[i] < worst_incr:
+            worst_incr = row_gap[i]
+            incr_pt = {"alpha": alpha, "t": float(ts[col_gap[i]])}
         if i:
-            drop = np.negative(np.subtract(incr, prev, out=spare), out=spare)
-            worst_mono = min(worst_mono, float(np.min(drop)))
-        incr, prev = prev, incr
+            worst_mono = min(worst_mono, row_drop[i - 1])
 
     rep.add("arc-concave-in-winding", 1e-12 - worst_second, worst_pt)
     rep.add("unit-increment-dominates-below-1", worst_incr + 1e-12, incr_pt)

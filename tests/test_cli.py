@@ -116,6 +116,10 @@ def test_usage_error_exit_code(capsys):
         ["collar", "--length", "1e-320"],
         ["collar", "--length", "1e-320", "--scan"],
         ["winding", "--cusp", "--w", "1e155"],
+        # a grid step binary64 cannot resolve, and a grid that overflows
+        ["pants-min", "--cap", "6", "--lmax", "1e-7", "--grid", "4"],
+        ["pants-min", "--cap", "6", "--lmax", "1e-320", "--grid", "4"],
+        ["pants-min", "--cap", "6", "--lmax", "2000", "--grid", "4"],
     ],
 )
 @pytest.mark.filterwarnings("error")  # a warning would print to stderr outside pytest
@@ -280,7 +284,7 @@ def test_import_loads_no_dataclasses_inspect_or_numpy():
     assert proc.returncode == 0, proc.stderr
     added = proc.stdout.split()
     assert "hypcross.spectrum" in added
-    assert not {"dataclasses", "inspect", "numpy"} & set(added), added
+    assert not {"dataclasses", "inspect", "numpy", "hypcross.verifier", "concurrent.futures"} & set(added), added
 
 
 def test_numeric_modules_import_by_name():

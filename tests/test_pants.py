@@ -185,6 +185,20 @@ def test_minimize_small_grid():
     assert abs(value - 2 * math.acosh(5.0)) < 1e-12
 
 
+@pytest.mark.parametrize("length_cap", [1e-7, 1e-320, 2000.0, 203.0])
+def test_minimize_refuses_a_length_cap_outside_binary64(length_cap):
+    # a step too fine to see the length grow from the cusp, or a corner cell
+    # whose cosh terms overflow
+    with pytest.raises(ValueError, match="must"):
+        minimize_over_moduli(6, length_cap, 4)
+
+
+@pytest.mark.parametrize("length_cap", [2.1e-7, 202.0])
+def test_minimize_answers_just_inside_binary64(length_cap):
+    P, C, value = minimize_over_moduli(6, length_cap, 4)
+    assert ((P.l1, P.l2, P.l3), (C.m, C.n), value) == ((0.0, 0.0, 0.0), (1, 2), 2 * math.acosh(5.0))
+
+
 def test_minimum_hypothesis_needs_m_plus_n_three():
     # with (m, n) = (1, 1) allowed, the three-cusp value drops below the bound
     assert gamma_mn_length(IDEAL, CurveClass(1, 1)) < 2 * math.acosh(5.0)

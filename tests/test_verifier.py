@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -189,11 +191,75 @@ def _chunked_concavity_chain(t_grid: int) -> SuiteReport:
     return rep
 
 
-@pytest.mark.parametrize("t_grid", [100, 256, 257, 1000, 2000])
-def test_concavity_chain_matches_whole_chunk_reference(t_grid):
-    # the reference's chunk edges: one chunk, exactly one, one column past
-    # it, several chunks; the audit itself walks whole alpha rows
-    assert verify_concavity_chain(t_grid).as_dict() == _chunked_concavity_chain(t_grid).as_dict()
+@pytest.mark.parametrize("t_grid", [100, 255, 256, 257, 1000, 2000])
+def test_concavity_chain_matches_whole_chunk_reference(monkeypatch, t_grid):
+    # the reference's chunk edges: one chunk, one column short of exactly
+    # one, exactly one, one column past it, several chunks; the audit's slice
+    # edges move with the worker count, and its block edges with the row block
+    expected = _chunked_concavity_chain(t_grid).as_dict()
+    for workers in (1, 2, 3):
+        for block in (1, 7, 8):
+            monkeypatch.setattr(verifier, "_workers", lambda: workers)
+            monkeypatch.setattr(verifier, "_ROW_BLOCK", block)
+            assert verify_concavity_chain(t_grid).as_dict() == expected, (workers, block)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_concavity_tie_across_slices_takes_the_left_witness(monkeypatch, workers):
+    ts = np.geomspace(1e-4, CASE_SPLIT / 2.0, 100)
+    peaks = ts[[10, 60]]  # in different slices for 2 and for 3 workers
+
+    def tied_arc(s, t, coshw1, out=None):
+        """s^2 on the two peak columns and 0 elsewhere: in every row the
+        second differences at both peaks are equal and the row's largest."""
+        return np.multiply(np.square(s), np.isin(t, peaks), out=out)
+
+    monkeypatch.setattr(verifier, "_arc", tied_arc)
+    monkeypatch.setattr(verifier, "_workers", lambda: workers)
+    rep = verify_concavity_chain(100)
+    assert rep.checks[0].witness["t"] == peaks[0]
+    assert rep.as_dict() == _chunked_concavity_chain(100).as_dict()
+
+
+class SliceFailure(Exception):
+    pass
+
+
+def test_a_failed_slice_raises(monkeypatch):
+    # the last slice runs in a thread of its own; its failure must reach the
+    # caller, not leave its rows of the result unfilled
+    ts = np.geomspace(1e-4, CASE_SPLIT / 2.0, 100)
+    arc = verifier._arc
+
+    def failing_arc(s, t, coshw1, out=None):
+        if np.ndim(s) == 2 and t[-1] == ts[-1]:
+            raise SliceFailure("arc failed in the last slice")
+        return arc(s, t, coshw1, out)
+
+    monkeypatch.setattr(verifier, "_arc", failing_arc)
+    monkeypatch.setattr(verifier, "_workers", lambda: 2)
+    with pytest.raises(SliceFailure):
+        verify_concavity_chain(100)
+
+
+def test_concurrent_suites_agree():
+    # the audit's buffers belong to each call: suites run at once, with a
+    # short switch interval and more threads than CPUs, report the same as
+    # one run alone
+    expected = run_verify_suite().as_dict()
+    results = [None] * 3
+    threads = [threading.Thread(target=lambda i=i: results.__setitem__(i, run_verify_suite().as_dict())) for i in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert results == [expected] * 3
 
 
 def convex_arc(s, t, coshw1, out=None):
