@@ -6,15 +6,16 @@ traces are exact integers, so lengths are exact.  Self-intersection numbers
 come from (a) counting linked pairs of corners of the cyclic word, in exact
 integers, (b) counting interleaved axes of the word's rotations on the
 boundary, in exact integers, and (c) tracing the geodesic through the
-fundamental domain and counting transverse arc crossings.  The shortest
-class with two crossings is the double corkscrew aab, exactly at
-2log(5+2 sqrt 6).
+fundamental domain and counting transverse arc crossings (hypcross.tracer).
+The shortest class with two crossings is the double corkscrew aab, exactly
+at 2log(5+2 sqrt 6).
 """
 
 import math
 
-from hypcross.selfint import boundary_count, self_intersection_count, tracer_count
+from hypcross.selfint import boundary_count, self_intersection_count
 from hypcross.spectrum import min_witness, spectrum
+from hypcross.tracer import tracer_count
 from hypcross.words import enumerate_classes, word_trace
 
 print("classes through word length 4:", enumerate_classes(4))

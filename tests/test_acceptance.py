@@ -20,8 +20,9 @@ import pytest
 
 from hypcross import collar, pants, verifier, winding
 from hypcross.cli import main as cli_main
-from hypcross.selfint import self_intersection_count, tracer_count
+from hypcross.selfint import self_intersection_count
 from hypcross.spectrum import min_witness, spectrum
+from hypcross.tracer import tracer_count
 from hypcross.words import enumerate_classes, is_primitive, word_trace
 
 M1 = 4 * math.log(1 + math.sqrt(2))

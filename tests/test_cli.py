@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -7,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypcross.cli import main
 
@@ -284,7 +288,29 @@ def test_import_loads_no_dataclasses_inspect_or_numpy():
     assert proc.returncode == 0, proc.stderr
     added = proc.stdout.split()
     assert "hypcross.spectrum" in added
-    assert not {"dataclasses", "inspect", "numpy", "hypcross.verifier", "concurrent.futures"} & set(added), added
+    forbidden = {"dataclasses", "inspect", "numpy", "hypcross.verifier", "concurrent.futures", "hypcross.tracer"}
+    assert not forbidden & set(added), added
+
+
+def test_spectrum_command_loads_no_tracer():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    script = (
+        "import sys\n"
+        "from hypcross.cli import main\n"
+        "code = main(['spectrum', '--max-word-len', '10', '--cap', '4.585', '--k', '2'])\n"
+        "print('hypcross.tracer' in sys.modules, file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1].startswith("# witness k=2: aab\t")
+    assert proc.stderr == "False\n"
 
 
 def test_numeric_modules_import_by_name():
@@ -298,3 +324,49 @@ def test_numeric_modules_import_by_name():
         "hypcross.winding",
     )
     assert hypcross.verifier is verifier
+
+
+# magnitudes log-uniform from 1e-320 (subnormal) to 1e308
+_MAGNITUDE = st.floats(-320.0, 308.0).map(lambda e: repr(10.0**e))
+
+# each X takes its own magnitude
+_NUMERIC_COMMANDS = {
+    "collar": "collar --length X",
+    "collar-scan": "collar --length X --scan",
+    "pants-length": "pants-length --l1 X --l2 X --l3 X --m 2 --n 3",
+    "pants-length-oracle": "pants-length --l1 X --l2 X --l3 X --m 2 --n 3 --oracle",
+    "winding-collar": "winding --collar --w X --core X --width X",
+    "winding-cusp": "winding --cusp --w X",
+    "pants-min": "pants-min --cap 6 --lmax X --grid 4",
+}
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+@pytest.mark.parametrize("command", _NUMERIC_COMMANDS)
+@pytest.mark.filterwarnings("error")  # a warning would print to stderr outside pytest
+def test_every_numeric_input_gets_an_answer_or_a_usage_error(command):
+    # the README's contract: strict JSON with finite numbers and exit 0, or
+    # one stderr line and exit 2
+    template = _NUMERIC_COMMANDS[command].split()
+    slots = template.count("X")
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(_MAGNITUDE, min_size=slots, max_size=slots))
+    def check(values):
+        fill = iter(values)
+        argv = [next(fill) if arg == "X" else arg for arg in template]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2), (argv, code)
+        if code == 0:
+            json.loads(out.getvalue(), parse_constant=_reject_constant)
+            assert err.getvalue() == "", argv
+        else:
+            assert out.getvalue() == "", argv
+            assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), (argv, err.getvalue())
+
+    check()

@@ -1,43 +1,21 @@
 import json
 import math
 import random
-from math import comb
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
 
-from hypcross.halfplane import complex_dist
-from hypcross.selfint import (
-    NotPrimitiveWord,
-    TracerError,
-    _Line,
-    _screen,
-    boundary_count,
-    self_intersection_count,
-    tracer_count,
-)
-from hypcross.words import (
-    INVERSE,
-    LETTERS,
-    enumerate_classes,
-    is_primitive,
-    mirror_word,
-    primitive_root,
-    rotations,
-    word_trace,
-)
+from hypcross.selfint import NotPrimitiveWord, boundary_count, self_intersection_count
+from hypcross.tracer import tracer_count
+from hypcross.words import INVERSE, LETTERS, enumerate_classes, is_primitive, mirror_word, rotations, word_trace
 
 
 def test_figure_eight():
     assert self_intersection_count("ab") == 1
-    assert tracer_count("ab") == 1
 
 
 def test_two_crossing_corkscrew():
     assert self_intersection_count("aab") == 2
-    assert tracer_count("aab") == 2
     assert self_intersection_count("abb") == 2
 
 
@@ -52,7 +30,6 @@ def test_other_figure_eights_stay_simple_crossed():
     # the remaining classes below the two-crossing bound all have one crossing
     for w in ("aaB", "aBB"):
         assert self_intersection_count(w) == 1
-        assert tracer_count(w) == 1
 
 
 def test_rotation_invariance():
@@ -66,28 +43,6 @@ def test_mirror_invariance():
     for w in ("ab", "aab", "aaB", "aaab"):
         m = mirror_word(w)
         assert self_intersection_count(m) == self_intersection_count(w)
-        assert tracer_count(m) == tracer_count(w)
-
-
-def test_methods_agree_through_length_eight():
-    for w in enumerate_classes(8):
-        if not is_primitive(w):
-            continue
-        assert self_intersection_count(w) == tracer_count(w), w
-
-
-def test_power_counts_frozen():
-    # tracer regression: merged points carry the n-choose-2 passage convention
-    assert tracer_count("abab") == 6
-    assert tracer_count("ababab") == 15
-    assert tracer_count("aabaab") == 12
-    # v^k runs k times along the geodesic of v: each crossing of v is a
-    # merged point passed by 2k strands, so it counts comb(2k, 2) times
-    powers = [w for w in enumerate_classes(10) if not is_primitive(w)]
-    assert len(powers) == 45
-    for w in powers:
-        v, k = primitive_root(w)
-        assert tracer_count(w) == comb(2 * k, 2) * self_intersection_count(v), w
 
 
 def test_powers_rejected_by_doublecoset():
@@ -100,12 +55,10 @@ def test_input_validation():
         self_intersection_count("aA")  # not reduced
     with pytest.raises(ValueError):
         self_intersection_count("aB")  # parabolic
-    with pytest.raises(ValueError):
-        tracer_count("xy")
-    with pytest.raises(ValueError):
-        tracer_count("bA")  # not cyclically reduced
 
 
+# hypcross.tracer's tolerance range, kept here under their test ids; the
+# tracer's other tests are in tests/test_tracer.py
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-6, 1e-3, 1e-4, 1e-5, 1e-9, 1e-10, 1e-12])
 def test_tracer_refuses_tolerance_outside_its_range(tol):
     # 1e-4, 1e-5, 1e-9 and 1e-10 give wrong counts or raise on classes of
@@ -117,54 +70,6 @@ def test_tracer_refuses_tolerance_outside_its_range(tol):
 @pytest.mark.parametrize("tol", [1e-8, 1e-6])
 def test_tracer_tolerance_range_ends(tol):
     assert tracer_count("aab", tol) == 2
-
-
-# the ten length-12 classes where the tracer at 1e-6 disagrees with the exact
-# count: (tracer at 1e-6, tracer at 1e-8 = exact count).  The 1e-6 values are
-# the known overcounts and failures of ROADMAP item 1; the change that moves
-# TRACER_TOL updates them.
-_TOLERANCE_EDGE = {
-    "aaaabbaBabbb": (17, 14),
-    "aaaabbbaBabb": (17, 14),
-    "aaabbbbaabAb": (17, 14),
-    "aaabAbaabbbb": (17, 14),
-    "aababababAAB": (32, 31),
-    "aabAABABABAB": (32, 31),
-    "ababababbABB": (32, 31),
-    "abababaBBAbb": (32, 31),
-    "abaBABBabABB": (TracerError, 26),
-    "abaBBAbaBBAB": (TracerError, 26),
-}
-
-
-def test_tracer_at_the_tolerance_edge():
-    for w, (coarse, fine) in _TOLERANCE_EDGE.items():
-        if coarse is TracerError:
-            with pytest.raises(TracerError):
-                tracer_count(w, 1e-6)
-        else:
-            assert tracer_count(w, 1e-6) == coarse, w
-        assert tracer_count(w, 1e-8) == fine == self_intersection_count(w), w
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    st.booleans(),
-    st.floats(-2.0, 2.0),
-    st.floats(1e-3, 10.0),
-    st.floats(0.0, 1.0),
-    st.floats(0.0, 1.0),
-    st.floats(0.0, 2.0 * math.pi),
-    st.sampled_from([1e-7, 1e-5]),
-)
-def test_screen_keeps_every_true_neighbour(vertical, c, r, s, u, phi, merge_tol):
-    # q on the line (log-height in [-7, 7], or angle in [1e-3, pi - 1e-3]),
-    # p within merge_tol of q: the strand count's screen must keep p
-    line = _Line("v", c) if vertical else _Line("c", c, r)
-    q = line.point(14.0 * s - 7.0 if vertical else 1e-3 + s * (math.pi - 2e-3))
-    p = q + q.imag * u * merge_tol * complex(math.cos(phi), math.sin(phi))
-    assume(complex_dist(p, q) < merge_tol)
-    assert line.sinh_dist(p) < _screen(merge_tol)
 
 
 def test_most_crossed_class_by_length():
@@ -194,12 +99,8 @@ def test_near_cusp_family(k):
     assert self_intersection_count("a" + "ab" * k) == k * (k + 1)
 
 
-def test_length_twelve_class_where_default_tracer_overcounts():
-    # the default tolerance gives 17 here (a strict xfail in bench/); a finer
-    # tracer tolerance agrees with the exact count
-    w = "aaaabbbaBabb"
-    assert self_intersection_count(w) == 14
-    assert tracer_count(w, tol=1e-8) == 14
+_TRACER_EDGE = ["aaaabbaBabbb", "aaaabbbaBabb", "aaabbbbaabAb", "aaabAbaabbbb", "aababababAAB",
+                 "aabAABABABAB", "ababababbABB", "abababaBBAbb", "abaBABBabABB", "abaBBAbaBBAB"]
 
 
 def _random_primitive_word(rng: random.Random, n: int) -> str:
@@ -216,11 +117,12 @@ def _random_primitive_word(rng: random.Random, n: int) -> str:
 def test_boundary_count_matches_exact_count_through_length_twelve():
     # every primitive class through length 8, a seeded sample of words of
     # lengths 9 to 12, and the length-12 classes where the default tracer
-    # fails; CI checks all 34,851 classes through length 12
+    # fails (tests/test_tracer.py); CI checks all 34,851 classes through
+    # length 12
     words = [w for w in enumerate_classes(8) if is_primitive(w)]
     rng = random.Random(11)
     words += [_random_primitive_word(rng, n) for n in range(9, 13) for _ in range(60)]
-    words += list(_TOLERANCE_EDGE)
+    words += _TRACER_EDGE
     for w in words:
         assert boundary_count(w) == self_intersection_count(w), w
 

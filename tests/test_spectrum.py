@@ -3,8 +3,8 @@ import math
 import pytest
 
 import hypcross.spectrum as spectrum_module
-from hypcross.selfint import tracer_count
 from hypcross.spectrum import MAX_WORD_LEN, MethodDisagreement, min_witness, reachable_word_length, spectrum
+from hypcross.tracer import tracer_count
 from hypcross.words import GEN_MAT, enumerate_classes, is_primitive, word_key, word_trace
 
 M1 = 2 * math.acosh(3.0)
@@ -42,6 +42,30 @@ def test_nothing_below_the_bound():
     entries = spectrum(8, M2 - 1e-4, 2)
     assert min_witness(entries, 2) is None
     assert all(e.self_intersections <= 1 for e in entries)
+
+
+# the shortest classes with k or more crossings, k = 1..5: each sits at trace
+# 4k + 2, length 2*acosh(2k + 1), the k-corkscrew a^k b among them.  Complete
+# within word length 12, which covers every class of trace 4k + 2 or less,
+# since |trace| >= 2 * (word length).  Measured, not a theorem here.
+_FEWEST_CROSSINGS_TABLE = {
+    1: ["ab", "aaB", "aBB"],
+    2: ["aab", "abb", "aaaB", "aBBB", "aaBaB", "aBaBB"],
+    3: ["aaab", "abbb", "aaaaB", "aBBBB", "aaBaBaB", "aBaBaBB"],
+    4: ["aaaab", "abbbb", "aaaaaB", "aBBBBB", "aaBaBaBaB", "aBaBaBaBB"],
+    5: ["aaaaab", "abbbbb", "aaaaaaB", "aBBBBBB", "aaBaBaBaBaB", "aBaBaBaBaBB"],
+}
+
+
+@pytest.mark.parametrize("k", sorted(_FEWEST_CROSSINGS_TABLE))
+def test_shortest_class_with_k_crossings_is_the_k_corkscrew_length(k):
+    bound = 2 * math.acosh(2 * k + 1)
+    entries = spectrum(MAX_WORD_LEN, bound * (1 + 1e-12), k)
+    witness = min_witness(entries, k)
+    assert witness.length == bound and witness.trace == 4 * k + 2
+    minimisers = [e for e in entries if e.self_intersections >= k and e.length == bound]
+    assert [e.word for e in minimisers] == _FEWEST_CROSSINGS_TABLE[k]
+    assert all(e.self_intersections == k for e in minimisers)
 
 
 def test_entries_sorted_and_complete():
