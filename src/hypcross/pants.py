@@ -156,15 +156,6 @@ def trace_length_oracle(P: PantsBoundary, C: CurveClass) -> float:
 MIN_GRID_STEP = 6.7e-8  # below 6.665e-8, binary64 cannot see the (1, 2) curve's length grow one step from the cusp
 
 
-def _ratio_grid(m: int, L: np.ndarray) -> np.ndarray:
-    """Vectorized chebyshev_ratio with the exact limit substituted at L = 0."""
-    out = np.full_like(L, float(m))
-    pos = L > 0.0
-    t = 0.5 * L[pos]
-    out[pos] = np.sinh(m * t) / np.sinh(t)
-    return out
-
-
 def minimize_over_moduli(
     mn_cap: int, length_cap: float, grid: int
 ) -> tuple[PantsBoundary, CurveClass, float]:
@@ -215,11 +206,16 @@ def minimize_over_moduli(
 def _grid_minimum(mn_cap: int, length_cap: float, grid: int) -> tuple[float, float, float, float, int, int]:
     """(length, l1, l2, l3, m, n) of the least grid cell, first in that order."""
     ls = np.linspace(0.0, length_cap, grid)
-    L1, L2, L3 = np.meshgrid(ls, ls, ls, indexing="ij")
-    c1 = np.cosh(0.5 * L1)
-    c2 = np.cosh(0.5 * L2)
-    c3 = np.cosh(0.5 * L3)
-    base = c3 + c1 * c2
+    x, y, z = (grid, 1, 1), (1, grid, 1), (1, 1, grid)  # the l1, l2 and l3 axes of the cube
+    c = np.cosh(0.5 * ls)
+    base = c.reshape(z) + c.reshape(x) * c.reshape(y)
+    t = 0.5 * ls[1:]
+
+    def ratio(k: int) -> np.ndarray:
+        """chebyshev_ratio(k, l) over ls, the exact limit k at l = 0."""
+        out = np.full(grid, float(k))
+        out[1:] = np.sinh(k * t) / np.sinh(t)
+        return out
 
     pairs = [
         (m, n)
@@ -229,14 +225,13 @@ def _grid_minimum(mn_cap: int, length_cap: float, grid: int) -> tuple[float, flo
     ]
     best = None
     for m, n in pairs:
-        rhs = _ratio_grid(m, L1) * _ratio_grid(n, L2) * base + np.cosh(0.5 * m * L1) * np.cosh(0.5 * n * L2)
-        floor = 2.0 * m * n + 1.0 - 1e-12
-        if np.any(rhs < floor):
-            i = int(np.argmin(rhs))
+        cosh_m, cosh_n = np.cosh(0.5 * m * ls).reshape(x), np.cosh(0.5 * n * ls).reshape(y)
+        rhs = ratio(m).reshape(x) * ratio(n).reshape(y) * base + cosh_m * cosh_n
+        i = int(np.argmin(rhs))
+        if rhs.flat[i] < 2.0 * m * n + 1.0 - 1e-12:
             raise ArithmeticError(
                 f"cell bound violated: rhs = {rhs.flat[i]} < 2*{m}*{n}+1 at flat index {i}"
             )
-        i = int(np.argmin(rhs))
         idx = np.unravel_index(i, rhs.shape)
         cand = (
             2.0 * math.acosh(float(rhs[idx])),

@@ -231,20 +231,19 @@ def _workers() -> int:
     return os.cpu_count() or 1
 
 
-def _concavity_slice(alphas, ts, lo, coshw1, ref, f0, second, incr, rows) -> None:
-    """Checks (a) and (b) on the column slice ts (first column lo of the full
-    grid) of every alpha row, _ROW_BLOCK rows per numpy call.
+def _concavity_slice(alphas, ts, coshw1, ref, out) -> None:
+    """Checks (a) and (b) on the column slice ts of every alpha row,
+    _ROW_BLOCK rows per numpy call into three buffers of its own.
 
-    f0 and second are (block, len(ts)) buffers; incr has one extra leading row
-    that carries the previous block's last increment.  For each row, rows
-    receives the max of the second difference and its column, the min of the
-    increment gap and its column (rows with alpha <= 1 only), and the min of
-    the drop in increments from the row before (not row 0).
+    out receives, as (value, row, t), the largest second difference and the
+    smallest increment gap (rows with alpha <= 1 only), each first in
+    row-major order, and the smallest drop in increments from one row to the
+    next.
     """
-    second_max, second_col, gap_min, gap_col, drop_min = rows
-    block = len(f0)
-    for r0 in range(0, len(alphas), block):
-        a = alphas[r0 : r0 + block, None]
+    f0, second, incr = (np.empty((_ROW_BLOCK + extra, len(ts))) for extra in (0, 0, 1))
+    best_second, best_gap, drop_min = (-math.inf, 0, None), (math.inf, 0, None), math.inf
+    for r0 in range(0, len(alphas), len(f0)):
+        a = alphas[r0 : r0 + len(f0), None]
         nb = len(a)
         f, s, new = f0[:nb], second[:nb], incr[1 : nb + 1]
         h = 0.01 * a
@@ -252,22 +251,24 @@ def _concavity_slice(alphas, ts, lo, coshw1, ref, f0, second, incr, rows) -> Non
         # arc(alpha - h) borrows incr's rows before arc(alpha + 1) fills them
         np.add(_arc(a + h, ts, coshw1, s), _arc(a - h, ts, coshw1, new), out=s)
         np.subtract(s, f, out=s)
-        j = np.argmax(s, axis=1)
-        second_max[r0 : r0 + nb] = s[np.arange(nb), j]
-        second_col[r0 : r0 + nb] = j + lo
+        r, c = divmod(int(np.argmax(s)), len(ts))
+        if s[r, c] > best_second[0]:
+            best_second = (float(s[r, c]), r0 + r, float(ts[c]))
 
         np.multiply(_arc(a + 1.0, ts, coshw1, new), 2.0, out=new)
         np.subtract(new, f, out=new)
         k = int(np.count_nonzero(a <= 1.0))  # alphas ascend: a prefix of the block
         if k:
             gap = np.subtract(new[:k], ref, out=s[:k])
-            j = np.argmin(gap, axis=1)
-            gap_min[r0 : r0 + k] = gap[np.arange(k), j]
-            gap_col[r0 : r0 + k] = j + lo
+            r, c = divmod(int(np.argmin(gap)), len(ts))
+            if gap[r, c] < best_gap[0]:
+                best_gap = (float(gap[r, c]), r0 + r, float(ts[c]))
         first = 1 if r0 == 0 else 0  # row 0 has no row before it
-        drop = np.negative(np.subtract(incr[1 + first : nb + 1], incr[first:nb], out=f[first:]), out=f[first:])
-        np.min(drop, axis=1, out=drop_min[r0 + first : r0 + nb])
+        if first < nb:
+            drop = np.subtract(incr[first:nb], incr[1 + first : nb + 1], out=f[first:])
+            drop_min = min(drop_min, float(np.min(drop)))
         incr[0] = incr[nb]
+    out.extend((best_second, best_gap, drop_min))
 
 
 def _run_in_threads(fn, arg_tuples) -> None:
@@ -305,12 +306,12 @@ def verify_concavity_chain(t_grid: int = 10_000) -> SuiteReport:
     The 1000 x t_grid (alpha, t) grid of (a) and (b) is split into contiguous
     column slices of t, one per usable CPU, each walked by its own thread
     (the first by the caller) through every alpha row, 8 rows per numpy call
-    into three buffers of its own.  Each slice records, per row, its
-    extremum of each check and the column where it first occurs.  The rows
-    are then merged in order: within a row the leftmost slice wins a tie,
-    and across rows an extremum replaces the current witness only when
-    strictly better.  So each margin and each witness, the first extremum of
-    the grid in row-major order, do not depend on the number of slices.
+    into three buffers of its own.  Each slice keeps one running extremum of
+    each check, replaced only when strictly better, so it holds the slice's
+    first extremum in row-major order.  The slices' extrema are merged on
+    (value, row), a tie going to the leftmost slice.  So each margin and each
+    witness, the first extremum of the grid in row-major order, do not depend
+    on the number of slices.
     """
     if t_grid < 100:
         raise ValueError(f"t_grid must be >= 100, got {t_grid}")
@@ -327,39 +328,17 @@ def verify_concavity_chain(t_grid: int = 10_000) -> SuiteReport:
 
     n = min(_workers(), t_grid)
     edges = [t_grid * k // n for k in range(n + 1)]
-    second_max, gap_min, drop_min = (np.empty((n, len(alphas))) for _ in range(3))
-    second_col, gap_col = (np.empty((n, len(alphas)), dtype=np.intp) for _ in range(2))
-    slices = []
-    for k, (lo, hi) in enumerate(zip(edges, edges[1:])):
-        f0, second, incr = (np.empty((_ROW_BLOCK + extra, hi - lo)) for extra in (0, 0, 1))
-        rows = (second_max[k], second_col[k], gap_min[k], gap_col[k], drop_min[k])
-        slices.append((alphas, ts[lo:hi], lo, coshw1[lo:hi], ref[lo:hi], f0, second, incr, rows))
+    outs = [[] for _ in range(n)]
+    slices = [(alphas, ts[lo:hi], coshw1[lo:hi], ref[lo:hi], out) for lo, hi, out in zip(edges, edges[1:], outs)]
     _run_in_threads(_concavity_slice, slices)
 
-    # argmax and argmin over the slices take the first, leftmost, on a tie
-    k = np.argmax(second_max, axis=0)
-    row_second = second_max[k, np.arange(len(alphas))].tolist()
-    col_second = second_col[k, np.arange(len(alphas))].tolist()
-    small = int(np.count_nonzero(alphas <= 1.0))
-    k = np.argmin(gap_min[:, :small], axis=0)
-    row_gap = gap_min[k, np.arange(small)].tolist()
-    col_gap = gap_col[k, np.arange(small)].tolist()
-    row_drop = np.min(drop_min[:, 1:], axis=0).tolist()
-
-    worst_second = -math.inf
-    worst_pt = None
-    worst_incr = math.inf
-    incr_pt = None
-    worst_mono = math.inf
-    for i, alpha in enumerate(alphas.tolist()):
-        if row_second[i] > worst_second:
-            worst_second = row_second[i]
-            worst_pt = {"alpha": alpha, "t": float(ts[col_second[i]])}
-        if i < small and row_gap[i] < worst_incr:
-            worst_incr = row_gap[i]
-            incr_pt = {"alpha": alpha, "t": float(ts[col_gap[i]])}
-        if i:
-            worst_mono = min(worst_mono, row_drop[i - 1])
+    # of equal keys max and min return the first: the earlier row, then the
+    # leftmost slice
+    worst_second, row, t = max((out[0] for out in outs), key=lambda b: (b[0], -b[1]))
+    worst_pt = None if t is None else {"alpha": float(alphas[row]), "t": t}
+    worst_incr, row, t = min((out[1] for out in outs), key=lambda b: b[:2])
+    incr_pt = None if t is None else {"alpha": float(alphas[row]), "t": t}
+    worst_mono = min(out[2] for out in outs)
 
     rep.add("arc-concave-in-winding", 1e-12 - worst_second, worst_pt)
     rep.add("unit-increment-dominates-below-1", worst_incr + 1e-12, incr_pt)

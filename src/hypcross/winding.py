@@ -10,6 +10,7 @@ needs no numpy.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .halfplane import Point, dist
@@ -53,17 +54,30 @@ def cusp_arc_length(q: CuspArcQuery) -> float:
     return 2.0 * math.log(w2 + math.sqrt(w2 * w2 + 1.0))
 
 
+MAX_ARC_LENGTH = 2.0 * math.asinh(sys.float_info.max)  # about 1421: the l with sinh(l/2) finite; cosh(w) is finite for w up to half of it
+
+
 def winding_from_length(l: float, core_length: float, width: float) -> float:
-    """Exact inverse of collar_arc_length in W."""
-    if l <= 0.0:
-        raise ValueError(f"arc length must be > 0, got {l}")
+    """Exact inverse of collar_arc_length in W.
+
+    Domain: 0 < l <= MAX_ARC_LENGTH, core_length finite and > 0, and
+    0 < width <= MAX_ARC_LENGTH / 2, where cosh(width) is finite (the widths
+    collar_arc_length accepts).  Outside it, a ValueError."""
+    if not 0.0 < l <= MAX_ARC_LENGTH:
+        raise ValueError(f"arc length must be > 0 and <= {MAX_ARC_LENGTH}, got {l}")
+    if not (math.isfinite(core_length) and core_length > 0.0):
+        raise ValueError(f"core length must be finite and > 0, got {core_length}")
+    if not 0.0 < width <= 0.5 * MAX_ARC_LENGTH:
+        raise ValueError(f"width must be > 0 and <= {0.5 * MAX_ARC_LENGTH}, got {width}")
     return 2.0 * math.asinh(math.sinh(0.5 * l) / math.cosh(width)) / core_length
 
 
 def cusp_winding_from_length(l: float) -> float:
-    """Exact inverse of cusp_arc_length in W."""
-    if l <= 0.0:
-        raise ValueError(f"arc length must be > 0, got {l}")
+    """Exact inverse of cusp_arc_length in W.
+
+    Domain: 0 < l <= MAX_ARC_LENGTH.  Outside it, a ValueError."""
+    if not 0.0 < l <= MAX_ARC_LENGTH:
+        raise ValueError(f"arc length must be > 0 and <= {MAX_ARC_LENGTH}, got {l}")
     return 0.5 * math.sinh(0.5 * l)
 
 

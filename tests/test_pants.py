@@ -185,6 +185,24 @@ def test_minimize_small_grid():
     assert abs(value - 2 * math.acosh(5.0)) < 1e-12
 
 
+@pytest.mark.parametrize("mn_cap, length_cap, grid", [(3, 1.0, 2), (4, 0.5, 3), (6, 3.0, 5), (8, 2.0, 4), (12, 0.1, 3)])
+def test_minimize_matches_a_per_cell_reference(mn_cap, length_cap, grid):
+    # gamma_mn_length on every cell and winding pair, least first on
+    # (length, l1, l2, l3, m, n): the grid search's tie rule
+    ls = np.linspace(0.0, length_cap, grid).tolist()
+    pairs = [(m, n) for m in range(1, mn_cap + 1) for n in range(1, mn_cap + 1) if m + n >= 3 and m * n <= mn_cap]
+    expected = min(
+        (gamma_mn_length(PantsBoundary(l1, l2, l3), CurveClass(m, n)), l1, l2, l3, m, n)
+        for l1 in ls
+        for l2 in ls
+        for l3 in ls
+        for m, n in pairs
+    )
+    P, C, value = minimize_over_moduli(mn_cap, length_cap, grid)
+    assert (P.l1, P.l2, P.l3, C.m, C.n) == expected[1:]
+    assert abs(value - expected[0]) < 1e-12
+
+
 @pytest.mark.parametrize("length_cap", [1e-7, 1e-320, 2000.0, 203.0])
 def test_minimize_refuses_a_length_cap_outside_binary64(length_cap):
     # a step too fine to see the length grow from the cusp, or a corner cell

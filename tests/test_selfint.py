@@ -1,12 +1,10 @@
 import json
-import math
 import random
 from pathlib import Path
 
 import pytest
 
 from hypcross.selfint import NotPrimitiveWord, boundary_count, self_intersection_count
-from hypcross.tracer import tracer_count
 from hypcross.words import INVERSE, LETTERS, enumerate_classes, is_primitive, mirror_word, rotations, word_trace
 
 
@@ -55,21 +53,6 @@ def test_input_validation():
         self_intersection_count("aA")  # not reduced
     with pytest.raises(ValueError):
         self_intersection_count("aB")  # parabolic
-
-
-# hypcross.tracer's tolerance range, kept here under their test ids; the
-# tracer's other tests are in tests/test_tracer.py
-@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-6, 1e-3, 1e-4, 1e-5, 1e-9, 1e-10, 1e-12])
-def test_tracer_refuses_tolerance_outside_its_range(tol):
-    # 1e-4, 1e-5, 1e-9 and 1e-10 give wrong counts or raise on classes of
-    # lengths 9-11, e.g. aaaBaBBABB gives 14 (true 11) at 1e-5
-    with pytest.raises(ValueError):
-        tracer_count("aab", tol)
-
-
-@pytest.mark.parametrize("tol", [1e-8, 1e-6])
-def test_tracer_tolerance_range_ends(tol):
-    assert tracer_count("aab", tol) == 2
 
 
 def test_most_crossed_class_by_length():

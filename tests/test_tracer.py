@@ -37,6 +37,19 @@ def test_input_validation():
         tracer_count("bA")  # not cyclically reduced
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-6, 1e-3, 1e-4, 1e-5, 1e-9, 1e-10, 1e-12])
+def test_tracer_refuses_tolerance_outside_its_range(tol):
+    # 1e-4, 1e-5, 1e-9 and 1e-10 give wrong counts or raise on classes of
+    # lengths 9-11, e.g. aaaBaBBABB gives 14 (true 11) at 1e-5
+    with pytest.raises(ValueError):
+        tracer_count("aab", tol)
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-6])
+def test_tracer_tolerance_range_ends(tol):
+    assert tracer_count("aab", tol) == 2
+
+
 def test_methods_agree_through_length_eight():
     for w in enumerate_classes(8):
         if not is_primitive(w):

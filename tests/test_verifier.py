@@ -221,6 +221,30 @@ def test_concavity_tie_across_slices_takes_the_left_witness(monkeypatch, workers
     assert rep.as_dict() == _chunked_concavity_chain(100).as_dict()
 
 
+@pytest.mark.parametrize("workers", [2, 3])
+def test_concavity_tie_on_different_rows_takes_the_earlier_row(monkeypatch, workers):
+    # the grid's largest second difference is reached twice: in row r1 of a
+    # right slice and in row r2 > r1 of a left one; the first in row-major
+    # order is (r1, right), which a merge that prefers the leftmost slice
+    # before the earlier row misses
+    ts = np.geomspace(1e-4, CASE_SPLIT / 2.0, 100)
+    alphas = np.geomspace(1e-3, 6.0, 1000)
+    (r1, right), (r2, left) = (300, 60), (700, 10)  # columns in different slices for 2 and for 3 workers
+
+    def tied_arc(s, t, coshw1, out=None):
+        """-1 at (alphas[r1], ts[right]) and at (alphas[r2], ts[left]), 0 elsewhere."""
+        def at(r, c):
+            return np.isin(s, [alphas[r]]) & (t == ts[c])
+
+        return np.negative(np.add(at(r1, right), at(r2, left), dtype=float), out=out)
+
+    monkeypatch.setattr(verifier, "_arc", tied_arc)
+    monkeypatch.setattr(verifier, "_workers", lambda: workers)
+    rep = verify_concavity_chain(100)
+    assert rep.checks[0].witness == {"alpha": alphas[r1], "t": ts[right]}
+    assert rep.as_dict() == _chunked_concavity_chain(100).as_dict()
+
+
 class SliceFailure(Exception):
     pass
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypcross.winding import (
+    MAX_ARC_LENGTH,
     CollarArcQuery,
     CuspArcQuery,
     collar_arc_length,
@@ -106,5 +107,34 @@ def test_query_validation():
         CollarArcQuery(1.0, -1.0, 1.0)
     with pytest.raises(ValueError):
         CuspArcQuery(0.0)
-    with pytest.raises(ValueError):
-        winding_from_length(0.0, 1.0, 1.0)
+    # each inverse outside its domain; winding_from_length used to raise
+    # ZeroDivisionError at core 0, return -0.66 at core -1 and 0.0 at width
+    # inf, and both used to return nan for nan
+    past = math.nextafter(MAX_ARC_LENGTH, math.inf)  # sinh(l/2) overflows
+    for args in [
+        (0.0, 1.0, 1.0),
+        (-1.0, 1.0, 1.0),
+        (past, 1.0, 1.0),
+        (math.inf, 1.0, 1.0),
+        (math.nan, 1.0, 1.0),
+        (1.0, 0.0, 1.0),
+        (1.0, -1.0, 1.0),
+        (1.0, math.inf, 1.0),
+        (1.0, math.nan, 1.0),
+        (1.0, 1.0, 0.0),
+        (1.0, 1.0, math.nextafter(0.5 * MAX_ARC_LENGTH, math.inf)),  # cosh(width) overflows
+        (1.0, 1.0, math.inf),
+        (1.0, 1.0, math.nan),
+    ]:
+        with pytest.raises(ValueError):
+            winding_from_length(*args)
+    for l in (0.0, -1.0, past, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            cusp_winding_from_length(l)
+
+
+def test_inverses_at_their_domain_ends():
+    # the largest arc length and width still give a finite winding number
+    assert math.isfinite(winding_from_length(MAX_ARC_LENGTH, 1.0, 0.5 * MAX_ARC_LENGTH))
+    assert math.isfinite(winding_from_length(MAX_ARC_LENGTH, 1.0, 1.0))
+    assert math.isfinite(cusp_winding_from_length(MAX_ARC_LENGTH))
