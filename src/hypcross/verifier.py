@@ -231,17 +231,37 @@ def _workers() -> int:
     return os.cpu_count() or 1
 
 
+def _extremum(best, x, r0, ts, largest):
+    """The running (value, row, t) best after the block x, whose first row
+    is grid row r0: x's largest cell (smallest, with largest False) replaces
+    best only when strictly beyond it, so best holds the first extremum in
+    row-major order.  A non-finite cell fails the check: best becomes
+    (inf, row, t) (-inf for the smallest) at the first one, which no later
+    cell goes beyond.  x is finite exactly when its largest and smallest
+    cells are, and argmax (argmin) already finds one of them, a NaN first."""
+    far = math.inf if largest else -math.inf
+    if best[0] == far:
+        return best
+    i = int(np.argmax(x) if largest else np.argmin(x))
+    v = float(x.flat[i])
+    if not (math.isfinite(v) and math.isfinite(np.min(x) if largest else np.max(x))):
+        i, v = int(np.argmin(np.isfinite(x))), far
+    elif not (v > best[0] if largest else v < best[0]):
+        return best
+    r, c = divmod(i, x.shape[1])
+    return (v, r0 + r, float(ts[c]))
+
+
 def _concavity_slice(alphas, ts, coshw1, ref, out) -> None:
     """Checks (a) and (b) on the column slice ts of every alpha row,
     _ROW_BLOCK rows per numpy call into three buffers of its own.
 
-    out receives, as (value, row, t), the largest second difference and the
-    smallest increment gap (rows with alpha <= 1 only), each first in
-    row-major order, and the smallest drop in increments from one row to the
-    next.
+    out receives, as (value, row, t) (see _extremum), the largest second
+    difference and the smallest increment gap (rows with alpha <= 1 only),
+    and the smallest drop in increments from one row to the next.
     """
     f0, second, incr = (np.empty((_ROW_BLOCK + extra, len(ts))) for extra in (0, 0, 1))
-    best_second, best_gap, drop_min = (-math.inf, 0, None), (math.inf, 0, None), math.inf
+    best_second, best_gap, best_drop = (-math.inf, 0, None), (math.inf, 0, None), (math.inf, 0, None)
     for r0 in range(0, len(alphas), len(f0)):
         a = alphas[r0 : r0 + len(f0), None]
         nb = len(a)
@@ -251,24 +271,20 @@ def _concavity_slice(alphas, ts, coshw1, ref, out) -> None:
         # arc(alpha - h) borrows incr's rows before arc(alpha + 1) fills them
         np.add(_arc(a + h, ts, coshw1, s), _arc(a - h, ts, coshw1, new), out=s)
         np.subtract(s, f, out=s)
-        r, c = divmod(int(np.argmax(s)), len(ts))
-        if s[r, c] > best_second[0]:
-            best_second = (float(s[r, c]), r0 + r, float(ts[c]))
+        best_second = _extremum(best_second, s, r0, ts, True)
 
         np.multiply(_arc(a + 1.0, ts, coshw1, new), 2.0, out=new)
         np.subtract(new, f, out=new)
         k = int(np.count_nonzero(a <= 1.0))  # alphas ascend: a prefix of the block
         if k:
             gap = np.subtract(new[:k], ref, out=s[:k])
-            r, c = divmod(int(np.argmin(gap)), len(ts))
-            if gap[r, c] < best_gap[0]:
-                best_gap = (float(gap[r, c]), r0 + r, float(ts[c]))
+            best_gap = _extremum(best_gap, gap, r0, ts, False)
         first = 1 if r0 == 0 else 0  # row 0 has no row before it
         if first < nb:
             drop = np.subtract(incr[first:nb], incr[1 + first : nb + 1], out=f[first:])
-            drop_min = min(drop_min, float(np.min(drop)))
+            best_drop = _extremum(best_drop, drop, r0 + first, ts, False)
         incr[0] = incr[nb]
-    out.extend((best_second, best_gap, drop_min))
+    out.extend((best_second, best_gap, best_drop))
 
 
 def _run_in_threads(fn, arg_tuples) -> None:
@@ -312,6 +328,9 @@ def verify_concavity_chain(t_grid: int = 10_000) -> SuiteReport:
     (value, row), a tie going to the leftmost slice.  So each margin and each
     witness, the first extremum of the grid in row-major order, do not depend
     on the number of slices.
+
+    A non-finite cell fails its check: the margin is 0.0, the witness is the
+    first such cell in row-major order, and a note names it.
     """
     if t_grid < 100:
         raise ValueError(f"t_grid must be >= 100, got {t_grid}")
@@ -334,15 +353,20 @@ def verify_concavity_chain(t_grid: int = 10_000) -> SuiteReport:
 
     # of equal keys max and min return the first: the earlier row, then the
     # leftmost slice
-    worst_second, row, t = max((out[0] for out in outs), key=lambda b: (b[0], -b[1]))
-    worst_pt = None if t is None else {"alpha": float(alphas[row]), "t": t}
-    worst_incr, row, t = min((out[1] for out in outs), key=lambda b: b[:2])
-    incr_pt = None if t is None else {"alpha": float(alphas[row]), "t": t}
-    worst_mono = min(out[2] for out in outs)
-
-    rep.add("arc-concave-in-winding", 1e-12 - worst_second, worst_pt)
-    rep.add("unit-increment-dominates-below-1", worst_incr + 1e-12, incr_pt)
-    rep.add("increments-nonincreasing-in-winding", worst_mono + 1e-12)
+    # (id, merged extremum, sign of the value in the margin 1e-12 + sign *
+    # value, whether a pass names its point)
+    checks = [
+        ("arc-concave-in-winding", max((out[0] for out in outs), key=lambda b: (b[0], -b[1])), -1.0, True),
+        ("unit-increment-dominates-below-1", min((out[1] for out in outs), key=lambda b: b[:2]), 1.0, True),
+        ("increments-nonincreasing-in-winding", min((out[2] for out in outs), key=lambda b: b[:2]), 1.0, False),
+    ]
+    for cid, (value, row, t), sign, witness in checks:
+        pt = {"alpha": float(alphas[row]), "t": t}
+        if math.isinf(value):  # a non-finite cell: no headroom to measure
+            rep.add(cid, 0.0, pt)
+            rep.notes.append(f"{cid}: non-finite value at alpha={pt['alpha']!r}, t={t!r}")
+        else:
+            rep.add(cid, 1e-12 + sign * value, pt if witness else None)
 
     us = 2.0 * np.cosh(0.5 * np.geomspace(1e-4, 5.0, t_grid)) ** 2
     g = 2.0 * np.arcsinh(2.0 * us) - 2.0 * np.arcsinh(us)
@@ -420,8 +444,10 @@ def run_verify_suite(seed: int = 20260809, pants_samples: int = 200, collar_samp
     rep.add("minimum-above-intermediate", h0 - inter, {"value": h0})
     rep.add("minimum-above-sharp-constant", h0 - tab.bound_two_crossings)
 
-    for c in verify_concavity_chain().checks:
+    short = verify_concavity_chain()
+    for c in short.checks:
         rep.checks.append(CheckResult(f"short-loop/{c.id}", c.passed, c.margin, c.witness))
+    rep.notes.extend(f"short-loop/{note}" for note in short.notes)
     case1 = verify_case1_chain()
     for c in case1.checks:
         rep.checks.append(CheckResult(f"long-loop/{c.id}", c.passed, c.margin, c.witness))

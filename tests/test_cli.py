@@ -190,6 +190,34 @@ def test_failed_chain_check_is_reported_with_exit_1(capsys, monkeypatch):
     assert failed["witness"] == {"alpha": 6.0, "t": 0.53}
 
 
+def test_non_finite_arc_cell_is_reported_with_exit_1(capsys, monkeypatch):
+    # one NaN arc value inside the concavity grid fails the three grid
+    # checks with finite margins: the document still prints, strict JSON
+    import numpy as np
+    from hypcross import verifier
+
+    alpha, t = np.geomspace(1e-3, 6.0, 1000)[300], np.geomspace(1e-4, verifier.CASE_SPLIT / 2.0, 10_000)[600]
+    arc = verifier._arc
+
+    def arc_with_a_hole(s, t_, coshw1, out=None):
+        x = arc(s, t_, coshw1, out)
+        x[np.isin(s, [alpha]) & (t_ == t)] = math.nan
+        return x
+
+    monkeypatch.setattr(verifier, "_arc", arc_with_a_hole)
+    code, out = run(capsys, "verify")
+    assert code == 1
+    res = json.loads(out, parse_constant=_reject_constant)["results"]
+    failed = [c for c in res["checks"] if not c["passed"]]
+    assert [c["id"] for c in failed] == [
+        "short-loop/arc-concave-in-winding",
+        "short-loop/unit-increment-dominates-below-1",
+        "short-loop/increments-nonincreasing-in-winding",
+    ]
+    assert all(c["margin"] == 0.0 and c["witness"] == {"alpha": alpha, "t": t} for c in failed)
+    assert sum(note.startswith("short-loop/") for note in res["notes"]) == 3
+
+
 def test_spectrum_table(capsys):
     code, out = run(capsys, "spectrum", "--max-word-len", "4", "--cap", "4.585", "--k", "2")
     assert code == 0
@@ -328,14 +356,18 @@ def test_numeric_modules_import_by_name():
 
 # magnitudes log-uniform from 1e-320 (subnormal) to 1e308
 _MAGNITUDE = st.floats(-320.0, 308.0).map(lambda e: repr(10.0**e))
+# a collar width also draws from 300 to 710.4, the widest with cosh(width)
+# finite: wide collars put the oracle's points at heights near e^-width
+_WIDTH = _MAGNITUDE | st.floats(300.0, 710.4).map(repr)
+_SLOTS = {"X": _MAGNITUDE, "WIDTH": _WIDTH}
 
-# each X takes its own magnitude
+# each slot takes its own value
 _NUMERIC_COMMANDS = {
     "collar": "collar --length X",
     "collar-scan": "collar --length X --scan",
     "pants-length": "pants-length --l1 X --l2 X --l3 X --m 2 --n 3",
     "pants-length-oracle": "pants-length --l1 X --l2 X --l3 X --m 2 --n 3 --oracle",
-    "winding-collar": "winding --collar --w X --core X --width X",
+    "winding-collar": "winding --collar --w X --core X --width WIDTH",
     "winding-cusp": "winding --cusp --w X",
     "pants-min": "pants-min --cap 6 --lmax X --grid 4",
 }
@@ -351,13 +383,12 @@ def test_every_numeric_input_gets_an_answer_or_a_usage_error(command):
     # the README's contract: strict JSON with finite numbers and exit 0, or
     # one stderr line and exit 2
     template = _NUMERIC_COMMANDS[command].split()
-    slots = template.count("X")
 
     @settings(max_examples=25, deadline=None)
-    @given(st.lists(_MAGNITUDE, min_size=slots, max_size=slots))
+    @given(st.tuples(*(_SLOTS[arg] for arg in template if arg in _SLOTS)))
     def check(values):
         fill = iter(values)
-        argv = [next(fill) if arg == "X" else arg for arg in template]
+        argv = [next(fill) if arg in _SLOTS else arg for arg in template]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)

@@ -138,7 +138,9 @@ def test_concavity_chain_requires_dense_grid():
 
 def _chunked_concavity_chain(t_grid: int) -> SuiteReport:
     """Reference for verify_concavity_chain: the same audit evaluated on whole
-    1000 x 256 chunks, with half_collar_arc called per term."""
+    1000 x 256 chunks, with half_collar_arc called per term.  A non-finite
+    cell fails its check with margin 0.0, the first such cell in row-major
+    order its witness, found by np.isfinite on every chunk."""
     rep = SuiteReport(
         "concavity-chain",
         config={"t_grid": t_grid, "alpha_grid": 1000, "t_range": [1e-4, CASE_SPLIT / 2.0], "alpha_range": [1e-3, 6.0]},
@@ -151,6 +153,8 @@ def _chunked_concavity_chain(t_grid: int) -> SuiteReport:
     worst_incr = math.inf
     incr_pt = None
     worst_mono = math.inf
+    bad = [None, None, None]  # each check's first non-finite (row, column)
+    rows = np.arange(len(alphas))
     chunk = 256
     for i in range(0, len(ts), chunk):
         t = ts[i : i + chunk][None, :]
@@ -172,11 +176,27 @@ def _chunked_concavity_chain(t_grid: int) -> SuiteReport:
             worst_incr = float(gap_small.flat[j])
             jj = np.unravel_index(j, gap_small.shape)
             incr_pt = {"alpha": float(a[small, 0][jj[0]]), "t": float(t[0, jj[1]])}
-        worst_mono = min(worst_mono, float(np.min(-np.diff(incr, axis=0))))
+        drop = -np.diff(incr, axis=0)
+        worst_mono = min(worst_mono, float(np.min(drop)))
 
-    rep.add("arc-concave-in-winding", 1e-12 - worst_second, worst_pt)
-    rep.add("unit-increment-dominates-below-1", worst_incr + 1e-12, incr_pt)
-    rep.add("increments-nonincreasing-in-winding", worst_mono + 1e-12)
+        for k, (x, x_rows) in enumerate([(second, rows), (gap_small, rows[small]), (drop, rows[1:])]):
+            cells = np.argwhere(~np.isfinite(x))  # in row-major order
+            if len(cells):
+                cell = (int(x_rows[cells[0][0]]), i + int(cells[0][1]))
+                bad[k] = cell if bad[k] is None else min(bad[k], cell)
+
+    results = [
+        ("arc-concave-in-winding", 1e-12 - worst_second, worst_pt),
+        ("unit-increment-dominates-below-1", worst_incr + 1e-12, incr_pt),
+        ("increments-nonincreasing-in-winding", worst_mono + 1e-12, None),
+    ]
+    for (cid, margin, pt), cell in zip(results, bad):
+        if cell is None:
+            rep.add(cid, margin, pt)
+        else:
+            alpha, t = float(alphas[cell[0]]), float(ts[cell[1]])
+            rep.add(cid, 0.0, {"alpha": alpha, "t": t})
+            rep.notes.append(f"{cid}: non-finite value at alpha={alpha!r}, t={t!r}")
 
     us = 2.0 * np.cosh(0.5 * np.geomspace(1e-4, 5.0, t_grid)) ** 2
     g = 2.0 * np.arcsinh(2.0 * us) - 2.0 * np.arcsinh(us)
@@ -242,6 +262,51 @@ def test_concavity_tie_on_different_rows_takes_the_earlier_row(monkeypatch, work
     monkeypatch.setattr(verifier, "_workers", lambda: workers)
     rep = verify_concavity_chain(100)
     assert rep.checks[0].witness == {"alpha": alphas[r1], "t": ts[right]}
+    assert rep.as_dict() == _chunked_concavity_chain(100).as_dict()
+
+
+def test_concavity_audit_fails_on_nan_everywhere(monkeypatch):
+    # a NaN never compares beyond the running extremum: each grid check
+    # must fail on it, at the grid's first cell, with a finite margin
+    arc = verifier._arc
+
+    def nan_arc(s, t, coshw1, out=None):
+        return np.multiply(arc(s, t, coshw1, out), math.nan, out=out)
+
+    monkeypatch.setattr(verifier, "_arc", nan_arc)
+    rep = verify_concavity_chain(100)
+    failed = [c for c in rep.checks if not c.passed]
+    assert [c.id for c in failed] == [c.id for c in rep.checks[:3]]
+    alpha0, alpha1, t0 = 1e-3, float(np.geomspace(1e-3, 6.0, 1000)[1]), 1e-4
+    assert [c.witness for c in failed] == [{"alpha": alpha0, "t": t0}] * 2 + [{"alpha": alpha1, "t": t0}]
+    assert all(c.margin == 0.0 for c in failed)
+    assert len(rep.notes) == 3
+    assert rep.as_dict() == _chunked_concavity_chain(100).as_dict()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_concavity_audit_fails_on_one_non_finite_cell(monkeypatch, workers, value):
+    # one non-finite arc value at grid cell (r, c) of an otherwise finite
+    # grid: the second difference and the increment at (r, c) and the drop
+    # at (r, c) and (r + 1, c) are non-finite, so all three checks fail with
+    # (r, c) as witness, whichever slice and block holds it
+    ts = np.geomspace(1e-4, CASE_SPLIT / 2.0, 100)
+    alphas = np.geomspace(1e-3, 6.0, 1000)
+    r, c = 300, 60  # alpha below 1; a right slice for 2 and for 3 workers
+    arc = verifier._arc
+
+    def arc_with_a_hole(s, t, coshw1, out=None):
+        x = arc(s, t, coshw1, out)
+        x[np.isin(s, [alphas[r]]) & (t == ts[c])] = value
+        return x
+
+    monkeypatch.setattr(verifier, "_arc", arc_with_a_hole)
+    monkeypatch.setattr(verifier, "_workers", lambda: workers)
+    rep = verify_concavity_chain(100)
+    witness = {"alpha": float(alphas[r]), "t": float(ts[c])}
+    assert [(ch.passed, ch.margin, ch.witness) for ch in rep.checks[:3]] == [(False, 0.0, witness)] * 3
+    assert all(ch.passed for ch in rep.checks[3:])
     assert rep.as_dict() == _chunked_concavity_chain(100).as_dict()
 
 

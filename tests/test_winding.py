@@ -88,6 +88,14 @@ def test_saccheri_quadrilateral_oracle(W, core, width):
     assert abs(got - oracle) < 1e-9
 
 
+@pytest.mark.parametrize("width", [372.0, 373.0, 400.0, 600.0, 700.0, 710.4])
+def test_saccheri_oracle_on_wide_collars(width):
+    # both top corners sit near height e^-width: the product of their heights
+    # is subnormal at 372 and 0 from 373 on, and the oracle still meets the
+    # closed form exactly
+    assert saccheri_top_length(1.0, 1.0, width) == collar_arc_length(CollarArcQuery(1.0, 1.0, width))
+
+
 @pytest.mark.parametrize("W", [0.1, 0.5, 1.0, 2.0, 5.0, 10.0])
 def test_cusp_distance_oracle(W):
     assert verify_cusp_lemma_geometrically(W) < 1e-12
