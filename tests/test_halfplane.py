@@ -19,13 +19,29 @@ from hypcross.halfplane import (
 from hypcross.words import GEN_MAT, enumerate_classes, word_matrix, word_trace
 
 
-def test_length_from_trace_values():
+def test_compose_identity():
+    g = (5, 2, 2, 1)
+    assert mat_mul((1, 0, 0, 1), g) == g
+    assert mat_mul(g, (1, 0, 0, 1)) == g
+
+
+def test_compose_hand_product():
+    assert mat_mul(GEN_MAT["a"], GEN_MAT["b"]) == (5, 2, 2, 1)
+
+
+def test_compose_inverse_is_identity():
+    g = tuple(float(x) for x in word_matrix("aabAb"))
+    h = mat_mul(g, mat_inv(g))
+    assert max(abs(h[0] - 1), abs(h[1]), abs(h[2]), abs(h[3] - 1)) < 1e-12
+
+
+def test_translation_length_values():
     assert abs(length_from_trace(word_trace("ab")) - 4 * math.log(1 + math.sqrt(2))) < 1e-12
     assert abs(length_from_trace(word_trace("aab")) - 2 * math.log(5 + 2 * math.sqrt(6))) < 1e-12
     assert abs(length_from_trace(6.0) - 2 * math.acosh(3.0)) < 1e-15
 
 
-def test_length_from_trace_rejects_parabolic():
+def test_translation_length_rejects_parabolic():
     with pytest.raises(NotHyperbolic):
         length_from_trace(word_trace("a"))
     with pytest.raises(NotHyperbolic):
@@ -125,7 +141,7 @@ def test_power_scaling(n):
     assert abs(length_from_trace(gn[0] + gn[3]) - n * length_from_trace(g[0] + g[3])) < 1e-9
 
 
-def test_moebius_infinity_handling():
+def test_apply_boundary_infinity_handling():
     assert moebius(GEN_MAT["a"], INFINITY) == INFINITY
     assert moebius(GEN_MAT["b"], INFINITY) == 0.5
     assert moebius(GEN_MAT["b"], -0.5) == INFINITY
@@ -161,7 +177,7 @@ def test_kernel_moebius_on_int_entries_and_interior_points():
     assert abs(z - (12 + 1j) / 5) < 1e-15
 
 
-def test_fixed_points_are_fixed_for_every_short_class():
+def test_fixed_points_match_axis_of_for_every_short_class():
     classes = enumerate_classes(6)
     assert len(classes) > 100
     for w in classes:
@@ -174,14 +190,27 @@ def test_fixed_points_are_fixed_for_every_short_class():
             assert residual <= 1e-12 * abs(r), w
 
 
+def test_axes_cross_conjugate_branch():
+    # the branch of the figure-eight ab conjugated by u = abA crosses its
+    # axis: exactly one endpoint of u ab u^-1 lies between those of ab
+    lo, hi = sorted(fixed_points(word_matrix("ab")))
+    conj = fixed_points(word_matrix("abA" + "ab" + "aBA"))
+    assert sum(lo < x < hi for x in conj) == 1
+
+
 # ------------------------------------------------------ the Point record
 
 
 @pytest.mark.parametrize(
     "make",
     [
+        lambda: Point(0.0, math.nan),
+        lambda: Point(math.inf, 1.0),
+        lambda: Point(-math.inf, 1.0),
         lambda: Point(math.nan, 1.0),
         lambda: Point(0.0, math.inf),
+        lambda: Point(0.0, -0.0),
+        lambda: Point(0.0, -math.inf),
     ],
 )
 def test_records_reject_invalid_arguments(make):
@@ -189,7 +218,11 @@ def test_records_reject_invalid_arguments(make):
         make()
 
 
-@pytest.mark.parametrize("record, field", [(Point(0.37, 2.2), "y"), (Point(0.37, 2.2), "z")])
+# a field is read-only, and with empty __slots__ no other attribute attaches
+@pytest.mark.parametrize(
+    "record, field",
+    [(Point(0.37, 2.2), "a"), (Point(0.37, 2.2), "y"), (Point(0.37, 2.2), "p"), (Point(0.37, 2.2), "z")],
+)
 def test_records_reject_assignment(record, field):
     with pytest.raises(AttributeError):
         setattr(record, field, 1.0)
