@@ -6,9 +6,9 @@ selfint and spectrum, whose records are named tuples, not dataclasses; import
 the others by name; collar, pants and verifier need numpy, winding and
 tracer do not):
   halfplane  -- the 2x2 tuple kernel (mat_mul, mat_inv, moebius,
-                moebius_point, fixed_points) shared by words, selfint and
-                tracer, half-plane points and distance, and the
-                trace-length dictionary
+                moebius_point, fixed_points) shared by selfint and tracer,
+                half-plane points and distance, and the trace-length
+                dictionary
   collar     -- collar half-widths, asymmetric profiles, hexagon gap
   pants      -- two-boundary winding curve lengths with a trace oracle
   winding    -- arc length <-> winding number dictionary for collars and cusps

@@ -4,7 +4,8 @@ trace-length dictionary.
 The kernel (mat_mul, mat_inv, moebius, moebius_point, fixed_points) works on
 plain tuples (a, b, c, d) for [[a, b], [c, d]].  The product and inverse use
 only +, - and *, so int and float entries both work and int entries stay
-exact.  Words, selfint and the tracer all go through it.
+exact.  Selfint's boundary count and the tracer go through it; words
+applies its generators as column steps of its own.
 
 Point is a named tuple, not a dataclass, which keeps dataclasses and inspect
 out of ``import hypcross``.  It checks its arguments in ``__new__`` (``_make``

@@ -14,9 +14,12 @@ of distinct corners (X, Y) that does not continue a shared stretch backward
     end, and the pair is linked when the strands lie on the same side there
     as at its start, seen from the shared half-edge; or
   * uses all four half-edges, and is linked when the two pairs interleave.
-Each crossing is found from both of its corners, so the count is half the
-number of linked pairs.  It uses only integers and costs O(n^2) per word
-plus the stretch lengths, which stay below n for a primitive word.
+Both tests read the cyclic order round the vertex from one table,
+_BEFORE[s, p, q] (does p come before q going round from s?), with an entry
+for each of the 64 triples of half-edges.  Each crossing is found from both
+of its corners, so the count is half the number of linked pairs.  It uses
+only integers and costs O(n^2) per word plus the stretch lengths, which stay
+below n for a primitive word.
 
 Boundary method (interleaving; exact): the rotation r_i = w[i:] + w[:i] is
 the lift of the geodesic through the corner before position i, and its axis
@@ -54,7 +57,7 @@ class NotPrimitiveWord(ValueError):
 def _check_word(w: str) -> tuple[int, int, int, int]:
     """Shared start of both counts and of the tracer: w must be a cyclically
     reduced hyperbolic word over LETTERS.  Returns its integer matrix."""
-    if not w or any(ch not in LETTERS for ch in w):
+    if not w or w.strip(LETTERS):
         raise ValueError(f"not a word over {LETTERS!r}: {w!r}")
     if not is_cyclically_reduced(w):
         raise ValueError(f"word must be cyclically reduced: {w!r}")
@@ -70,10 +73,11 @@ def _check_word(w: str) -> tuple[int, int, int, int]:
 # position of each half-edge going round the vertex
 _AROUND = {"a": 0, "A": 1, "B": 2, "b": 3}
 
+_INVERSE_TABLE = str.maketrans(INVERSE)  # INVERSE as a str.translate table
 
-def _before(s: str, p: str, q: str) -> bool:
-    """Does p come before q going round the vertex from s?"""
-    return (_AROUND[p] - _AROUND[s]) % 4 < (_AROUND[q] - _AROUND[s]) % 4
+# _BEFORE[s, p, q]: does p come before q going round the vertex from s?
+_BEFORE = {(s, p, q): (j - i) % 4 < (k - i) % 4
+           for s, i in _AROUND.items() for p, j in _AROUND.items() for q, k in _AROUND.items()}
 
 
 def self_intersection_count(w: str) -> int:
@@ -87,30 +91,26 @@ def self_intersection_count(w: str) -> int:
     # out2[k]: half-edge leaving the corner before position k mod n;
     # in2[k - 1]: half-edge entering it (negative indices wrap too)
     out2 = w + w
-    in2 = "".join(INVERSE[ch] for ch in out2)
+    in2 = out2.translate(_INVERSE_TABLE)
     linked = 0
     for i in range(n):
         x_in, x_out = in2[i - 1], w[i]
         for j in range(n):
             y_in, y_out = in2[j - 1], w[j]
-            if j == i or x_in == y_in or x_in == y_out:
+            if x_in == y_in or x_in == y_out:  # the pair rule, which leaves out j == i
                 continue
             if x_out == y_out:  # Y runs along X forward
                 m = 1
                 while out2[i + m] == out2[j + m]:
                     m += 1
-                start = (x_in, y_in)
-                far = (out2[i + m], out2[j + m])
+                linked += _BEFORE[x_out, x_in, y_in] == _BEFORE[in2[i + m - 1], out2[i + m], out2[j + m]]
             elif x_out == y_in:  # Y runs along X backward
                 m = 1
                 while out2[i + m] == in2[j - 1 - m]:
                     m += 1
-                start = (x_in, y_out)
-                far = (out2[i + m], in2[j - 1 - m])
+                linked += _BEFORE[x_out, x_in, y_out] == _BEFORE[in2[i + m - 1], out2[i + m], in2[j - 1 - m]]
             else:
-                linked += _before(x_in, y_in, x_out) != _before(x_in, y_out, x_out)
-                continue
-            linked += _before(x_out, *start) == _before(in2[i + m - 1], *far)
+                linked += _BEFORE[x_in, y_in, x_out] != _BEFORE[x_in, y_out, x_out]
     if linked % 2:
         raise RuntimeError(f"odd number {linked} of linked pairs for {w!r}")
     return linked // 2

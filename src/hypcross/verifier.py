@@ -116,8 +116,14 @@ class SuiteReport:
 
     def add(self, id: str, margin: float, witness: dict | None = None) -> None:
         """Record check `id`, passed exactly when margin > 0: the headroom of
-        the check's own condition, any tolerance included (`tol - x` for x < tol)."""
-        self.checks.append(CheckResult(id, bool(margin > 0), float(margin), witness))
+        the check's own condition, any tolerance included (`tol - x` for x < tol).
+        A NaN or infinite margin fails the check: it is recorded as 0.0, no
+        headroom measured, and a note names the id."""
+        margin = float(margin)
+        if not math.isfinite(margin):
+            self.notes.append(f"{id}: non-finite margin {margin!r}")
+            margin = 0.0
+        self.checks.append(CheckResult(id, margin > 0, margin, witness))
 
     def as_dict(self) -> dict:
         return {

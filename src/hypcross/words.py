@@ -5,6 +5,13 @@ Words are plain strings.  The canonical representative of a conjugacy class
 (with inverses identified) is the least word, in the order a < b < A < B,
 among all cyclic rotations of the word and of its inverse.
 
+The integer matrix of a word is the product of the generator matrices
+GEN_MAT in letter order.  Each of them is (1, q, r, 1) with q or r zero, so
+multiplying by one on the right is a single column step, (a, b, c, d) ->
+(a + r b, b + q a, c + r d, d + q c): a^+-1 adds +-2 * (column 0) to
+column 1, and b^+-1 adds +-2 * (column 1) to column 0.  word_matrix takes
+one step per letter.
+
 Class enumeration works on letter codes a, b, A, B -> "0", "1", "2", "3".
 Under these codes plain string order is the letter order above, and the
 inverse of a code is a fixed character translation, so the search compares
@@ -12,12 +19,12 @@ and inverts words without building key tuples.  A canonical word is the
 least of its rotations, so every prefix of it is a prenecklace; the search
 extends prenecklaces only (the Fredricksen-Kessler-Maiorana recursion,
 restricted to reduced words) and never visits a prefix that no canonical
-word starts with.
+word starts with.  Each prefix carries its integer matrix, so extending it
+by a letter costs one column step and a class's trace is read off its own
+prefix.
 """
 
 from __future__ import annotations
-
-from .halfplane import mat_mul
 
 LETTERS = "abAB"
 INVERSE = {"a": "A", "A": "a", "b": "B", "B": "b"}
@@ -27,7 +34,8 @@ MIRROR = {"a": "b", "b": "a", "A": "B", "B": "A"}
 _CODES = "0123"
 _TO_CODE = str.maketrans("abAB", _CODES)
 _FROM_CODE = str.maketrans(_CODES, "abAB")
-_INVERSE_CODE = str.maketrans(_CODES, "2301")
+_INVERSE_OF_CODE = dict(zip(_CODES, "2301"))
+_INVERSE_CODE = str.maketrans(_INVERSE_OF_CODE)
 
 # integer generator matrices (a, b, c, d); parabolic translations pairing the
 # sides of the standard fundamental domain of the three-cusp sphere
@@ -63,11 +71,12 @@ def free_reduce(w: str) -> str:
 
 
 def is_reduced(w: str) -> bool:
-    return all(w[i + 1] != INVERSE[w[i]] for i in range(len(w) - 1))
+    """No letter of w, a word over LETTERS, is followed by its inverse."""
+    return not ("aA" in w or "Aa" in w or "bB" in w or "Bb" in w)
 
 
 def is_cyclically_reduced(w: str) -> bool:
-    return bool(w) and is_reduced(w) and w[0] != INVERSE[w[-1]]
+    return bool(w) and is_reduced(w + w[0])
 
 
 def cyclic_reduce(w: str) -> str:
@@ -98,20 +107,28 @@ def is_primitive(w: str) -> bool:
 
 def primitive_root(w: str) -> tuple[str, int]:
     """Shortest v and exponent k with w = v^k (k = 1 for primitive words).
-    The empty word has no root: ValueError."""
-    n = len(w)
-    for d in range(1, n + 1):
-        if n % d == 0 and w == w[:d] * (n // d):
-            return w[:d], n // d
-    raise ValueError("the empty word has no primitive root")
+    The empty word has no root: ValueError.
+
+    The length of v is the least d > 0 with w equal to its rotation by d,
+    the first match of w in w + w after position 0; it divides len(w)."""
+    if not w:
+        raise ValueError("the empty word has no primitive root")
+    d = (w + w).find(w, 1)
+    return w[:d], len(w) // d
 
 
 def word_matrix(w: str) -> tuple[int, int, int, int]:
-    """Exact integer matrix of a word in the parabolic generators."""
-    m = (1, 0, 0, 1)
+    """Exact integer matrix of a word in the parabolic generators: the
+    product of their GEN_MAT matrices, one column step per letter (see the
+    module docstring).  A letter outside LETTERS raises KeyError."""
+    a, b, c, d = 1, 0, 0, 1
     for ch in w:
-        m = mat_mul(m, GEN_MAT[ch])
-    return m
+        _, q, r, _ = GEN_MAT[ch]  # q or r is 0
+        a += r * b
+        c += r * d
+        b += q * a
+        d += q * c
+    return a, b, c, d
 
 
 def word_trace(w: str) -> int:
@@ -120,9 +137,11 @@ def word_trace(w: str) -> int:
 
 
 # _EXTEND[lo][last]: codes c >= lo that may follow `last` in a reduced word,
-# largest first, so that the stack pops the least extension first
+# largest first, so that the stack pops the least extension first, each with
+# the off-diagonal entries (q, r) of its generator's matrix
 _EXTEND = {
-    lo: {last: tuple(c for c in reversed(_CODES) if c >= lo and c != last.translate(_INVERSE_CODE))
+    lo: {last: tuple((c, *GEN_MAT[c.translate(_FROM_CODE)][1:3]) for c in reversed(_CODES)
+                     if c >= lo and c != _INVERSE_OF_CODE[last])
          for last in _CODES}
     for lo in _CODES
 }
@@ -135,31 +154,36 @@ def enumerate_classes(max_len: int) -> list[str]:
     geodesic; on this surface |trace| is an integer >= 6 for all of them.
 
     Depth-first search over reduced prenecklaces in the letter codes (see
-    the module docstring), with an explicit stack of (prefix, period).  A
-    prefix w of period p extends by a code c >= w[-p] that does not cancel
-    its last letter; the period stays p when c == w[-p] and becomes
-    len(w) + 1 otherwise.  A prefix is the least of its rotations exactly
-    when its length is a multiple of its period; it is kept when it is also
-    cyclically reduced, no rotation of its inverse is smaller and its trace
-    is hyperbolic.  Codes are pushed largest first, so each length is
-    reached in increasing order and the per-length lists need no sort."""
+    the module docstring), with an explicit stack of (prefix, period,
+    matrix entries).  A prefix w of period p extends by a code c >= w[-p]
+    that does not cancel its last letter; the period stays p when
+    c == w[-p] and becomes len(w) + 1 otherwise, and the matrix takes the
+    column step of c.  A prefix is the least of its rotations exactly when
+    its length is a multiple of its period; it is kept when it is also
+    cyclically reduced, no rotation of its inverse is smaller and the trace
+    a + d of its matrix is hyperbolic.  Codes are pushed largest first, so
+    each length is reached in increasing order and the per-length lists
+    need no sort."""
     if not 1 <= max_len <= 14:
         raise ValueError(f"max_len must be in [1, 14], got {max_len}")
     by_len: list[list[str]] = [[] for _ in range(max_len + 1)]
-    stack = [(c, 1) for c in reversed(_CODES)]
+    stack = [(c, 1, *GEN_MAT[c.translate(_FROM_CODE)]) for c in reversed(_CODES)]
     while stack:
-        w, p = stack.pop()
+        w, p, a, b, c, d = stack.pop()
         n = len(w)
         if n < max_len:
             lo = w[n - p]
-            for c in _EXTEND[lo][w[-1]]:
-                stack.append((w + c, p if c == lo else n + 1))
-        if n % p or w[0] == w[-1].translate(_INVERSE_CODE):
+            for x, q, r in _EXTEND[lo][w[-1]]:
+                stack.append((w + x, p if x == lo else n + 1, a + r * b, b + q * a, c + r * d, d + q * c))
+        if n % p or w[0] == _INVERSE_OF_CODE[w[-1]]:
             continue
-        inv = w[::-1].translate(_INVERSE_CODE) * 2
-        if any(inv[i:i + n] < w for i in range(n)):
-            continue
-        word = w.translate(_FROM_CODE)
-        if abs(word_trace(word)) > 2:
-            by_len[n].append(word)
+        # a rotation of the inverse is smaller than w only if it starts with a
+        # code <= w[0], the least code of w; when w starts with a and has no
+        # A, its inverse has no a, so no rotation is
+        if w[0] != "0" or "2" in w:
+            inv = w[::-1].translate(_INVERSE_CODE) * 2
+            if any(inv[i:i + n] < w for i in range(n)):
+                continue
+        if abs(a + d) > 2:
+            by_len[n].append(w.translate(_FROM_CODE))
     return [w for ws in by_len for w in ws]

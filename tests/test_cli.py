@@ -218,6 +218,30 @@ def test_non_finite_arc_cell_is_reported_with_exit_1(capsys, monkeypatch):
     assert sum(note.startswith("short-loop/") for note in res["notes"]) == 3
 
 
+def test_nan_margins_are_reported_with_exit_1(capsys, monkeypatch):
+    # NaN arc values everywhere: besides the grid checks, the long-loop
+    # checks built on the arc term get NaN margins, which the report records
+    # as failed with margin 0.0 and a note each; the document still prints
+    import numpy as np
+    from hypcross import verifier
+
+    arc = verifier._arc
+
+    def nan_arc(s, t, coshw1, out=None):
+        return np.multiply(arc(s, t, coshw1, out), math.nan, out=out)
+
+    monkeypatch.setattr(verifier, "_arc", nan_arc)
+    code, out = run(capsys, "verify")
+    assert code == 1
+    res = json.loads(out, parse_constant=_reject_constant)["results"]
+    failed = {c["id"]: c["margin"] for c in res["checks"] if not c["passed"]}
+    long_loop = ["arc-term-rewrite", "assembled-bound-min-vs-root", "assembled-bound-min-vs-sharp-constant"]
+    assert {f"long-loop/{cid}" for cid in long_loop} <= set(failed)
+    assert set(failed.values()) == {0.0}
+    for cid in long_loop:
+        assert f"{cid}: non-finite margin nan" in res["notes"]
+
+
 def test_spectrum_table(capsys):
     code, out = run(capsys, "spectrum", "--max-word-len", "4", "--cap", "4.585", "--k", "2")
     assert code == 0

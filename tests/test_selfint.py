@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from hypcross.selfint import NotPrimitiveWord, boundary_count, self_intersection_count
+from hypcross.selfint import _AROUND, _BEFORE, NotPrimitiveWord, boundary_count, self_intersection_count
 from hypcross.words import INVERSE, LETTERS, enumerate_classes, is_primitive, mirror_word, rotations, word_trace
 
 
@@ -129,3 +129,12 @@ def test_boundary_count_rejects_what_the_exact_count_rejects(w, error):
     with pytest.raises(error) as boundary:
         boundary_count(w)
     assert type(boundary.value) is type(exact.value) is error
+
+
+def test_order_table_matches_the_cyclic_positions():
+    # _BEFORE[s, p, q]: p comes before q going round the vertex from s
+    assert len(_BEFORE) == 64
+    for s in _AROUND:
+        for p in _AROUND:
+            for q in _AROUND:
+                assert _BEFORE[s, p, q] is ((_AROUND[p] - _AROUND[s]) % 4 < (_AROUND[q] - _AROUND[s]) % 4)

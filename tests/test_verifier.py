@@ -10,6 +10,7 @@ from hypcross import verifier
 from hypcross.verifier import (
     CASE_SPLIT,
     BracketFailure,
+    CheckResult,
     DomainError,
     SuiteReport,
     constants,
@@ -419,3 +420,11 @@ def test_suite_report_passes_exactly_on_positive_margin(margin, passed):
     rep.add("check", margin)
     assert rep.checks[0].passed is passed
     assert rep.passed is passed
+
+
+@pytest.mark.parametrize("margin", [math.nan, math.inf, -math.inf, np.float64(math.nan)])
+def test_suite_report_fails_a_non_finite_margin_at_zero(margin):
+    rep = SuiteReport("non-finite")
+    rep.add("check", margin, {"t": 1.0})
+    assert rep.checks == [CheckResult("check", False, 0.0, {"t": 1.0})]
+    assert rep.notes == [f"check: non-finite margin {float(margin)!r}"]

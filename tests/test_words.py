@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypcross.halfplane import mat_mul
 from hypcross.spectrum import MAX_WORD_LEN
 from hypcross.words import (
+    GEN_MAT,
     INVERSE,
     LETTERS,
     canonical_class,
@@ -16,6 +18,7 @@ from hypcross.words import (
     inverse_word,
     is_cyclically_reduced,
     is_primitive,
+    is_reduced,
     mirror_word,
     primitive_root,
     rotations,
@@ -25,6 +28,9 @@ from hypcross.words import (
 )
 
 letters = st.text(alphabet="abAB", min_size=1, max_size=10)
+
+# every string over LETTERS through length 6, reduced or not, the empty one first
+ALL_STRINGS = ["".join(p) for n in range(7) for p in product(LETTERS, repeat=n)]
 
 
 def test_free_reduce():
@@ -202,3 +208,33 @@ def test_primitivity():
     assert is_primitive("")
     with pytest.raises(ValueError):
         primitive_root("")
+
+
+def test_word_matrix_is_the_product_of_generator_matrices():
+    # the column steps against the generic 2x2 product, letter by letter
+    for w in ALL_STRINGS:
+        m = (1, 0, 0, 1)
+        for ch in w:
+            m = mat_mul(m, GEN_MAT[ch])
+        assert word_matrix(w) == m, w
+
+
+def test_word_matrix_rejects_other_letters():
+    with pytest.raises(KeyError):
+        word_matrix("abx")
+
+
+def test_reduced_tests_match_the_pairwise_definition():
+    for w in ALL_STRINGS:
+        reduced = all(w[i + 1] != INVERSE[w[i]] for i in range(len(w) - 1))
+        assert is_reduced(w) is reduced, w
+        assert is_cyclically_reduced(w) is (bool(w) and reduced and w[0] != INVERSE[w[-1]]), w
+
+
+def test_primitive_root_matches_the_divisor_search():
+    # the least d dividing len(w) with w == w[:d] * (len(w) // d)
+    for w in ALL_STRINGS[1:] + ["ab" * 6, "aab" * 4, "abAB" * 3, "a" * 12]:
+        n = len(w)
+        d = next(d for d in range(1, n + 1) if n % d == 0 and w == w[:d] * (n // d))
+        assert primitive_root(w) == (w[:d], n // d), w
+        assert is_primitive(w) is (d == n), w
