@@ -2,11 +2,14 @@
 
 Every run emits one self-describing JSON document (stable key order, so runs
 with identical flags are byte-identical); the spectrum subcommand emits a
-tab-separated table instead.  Exit codes: 0 success, 1 failed checks,
-2 usage errors, including a ValueError raised by the library on an
+tab-separated table instead.  Each subcommand returns its document and exit
+code, and main writes the document to --out (if given) and to stdout.  Exit
+codes: 0 success, 1 failed checks, 2 usage errors, including winding's
+missing or conflicting mode flags, a ValueError raised by the library on an
 out-of-range input, an OverflowError, a result that strict JSON cannot hold
 (NaN or Infinity) and an OSError on a bad --config, --out or --cache path
-(each reported as one line on stderr, without a traceback).
+(each reported as one "hypcross <command>: error: ..." line on stderr,
+without a traceback).
 
 The numeric modules (collar, pants, winding, verifier) are imported inside the
 subcommands that use them, so spectrum runs without loading numpy.
@@ -44,15 +47,13 @@ def _emit(text: str, out: str | None) -> None:
     print(text)
 
 
-def _cmd_constants(args) -> int:
+def _cmd_constants(args) -> tuple[str, int]:
     from . import verifier
 
-    tab = verifier.constants()
-    _emit(_document("constants", {}, tab.as_dict()), args.out)
-    return 0
+    return _document("constants", {}, verifier.constants().as_dict()), 0
 
 
-def _cmd_collar(args) -> int:
+def _cmd_collar(args) -> tuple[str, int]:
     from . import collar
 
     x = args.length
@@ -73,11 +74,10 @@ def _cmd_collar(args) -> int:
     }
     if args.scan:
         results["scan"] = collar.width_scan()
-    _emit(_document("collar", {"length": x, "scan": bool(args.scan)}, results), args.out)
-    return 0
+    return _document("collar", {"length": x, "scan": bool(args.scan)}, results), 0
 
 
-def _cmd_pants_length(args) -> int:
+def _cmd_pants_length(args) -> tuple[str, int]:
     from . import pants
 
     P = pants.PantsBoundary(args.l1, args.l2, args.l3)
@@ -89,11 +89,10 @@ def _cmd_pants_length(args) -> int:
         results["oracle_length"] = oracle
         results["residual"] = value - oracle
     config = {"l1": args.l1, "l2": args.l2, "l3": args.l3, "m": args.m, "n": args.n, "oracle": bool(args.oracle)}
-    _emit(_document("pants-length", config, results), args.out)
-    return 0
+    return _document("pants-length", config, results), 0
 
 
-def _cmd_pants_min(args) -> int:
+def _cmd_pants_min(args) -> tuple[str, int]:
     from . import pants
 
     P, C, value = pants.minimize_over_moduli(args.cap, args.lmax, args.grid)
@@ -106,20 +105,18 @@ def _cmd_pants_min(args) -> int:
         "at_three_cusp_corner": P.l1 == 0.0 and P.l2 == 0.0 and P.l3 == 0.0,
     }
     config = {"cap": args.cap, "lmax": args.lmax, "grid": args.grid}
-    _emit(_document("pants-min", config, results), args.out)
-    return 0 if results["matches_sharp_constant"] and results["at_three_cusp_corner"] else 1
+    passed = results["matches_sharp_constant"] and results["at_three_cusp_corner"]
+    return _document("pants-min", config, results), 0 if passed else 1
 
 
-def _cmd_winding(args) -> int:
+def _cmd_winding(args) -> tuple[str, int]:
     from . import winding
 
     if args.collar == args.cusp:
-        print("exactly one of --collar / --cusp is required", file=sys.stderr)
-        return 2
+        raise ValueError("exactly one of --collar / --cusp is required")
     if args.collar:
         if args.core is None or args.width is None:
-            print("--collar needs --core and --width", file=sys.stderr)
-            return 2
+            raise ValueError("--collar needs --core and --width")
         q = winding.CollarArcQuery(args.w, args.core, args.width)
         length = winding.collar_arc_length(q)
         back = winding.winding_from_length(length, args.core, args.width)
@@ -141,19 +138,17 @@ def _cmd_winding(args) -> int:
             "distance_oracle_max_dev": winding.verify_cusp_lemma_geometrically(args.w),
         }
         config = {"cusp": True, "w": args.w}
-    _emit(_document("winding", config, results), args.out)
-    return 0
+    return _document("winding", config, results), 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[str, int]:
     from . import verifier
 
     rep = verifier.run_verify_suite()
-    _emit(_document("verify", rep.config, rep.as_dict()), args.out)
-    return 0 if rep.passed else 1
+    return _document("verify", rep.config, rep.as_dict()), 0 if rep.passed else 1
 
 
-def _cmd_spectrum(args) -> int:
+def _cmd_spectrum(args) -> tuple[str, int]:
     entries = compute_spectrum(
         args.max_word_len,
         args.cap,
@@ -173,8 +168,7 @@ def _cmd_spectrum(args) -> int:
         lines.append(
             f"# witness k={args.k}: {witness.word}\t{witness.trace!r}\t{witness.length!r}\t{witness.self_intersections}"
         )
-    _emit("\n".join(lines), args.out)
-    return 0
+    return "\n".join(lines), 0
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -195,54 +189,47 @@ def build_parser() -> argparse.ArgumentParser:
         description="closed-geodesic length bounds, collar widths, and the self-crossing spectrum of the three-cusp sphere",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None)
 
-    p = sub.add_parser("constants", help="sharp length bounds and the corkscrew length table")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_constants)
+    def add(name, help_text, func):
+        p = sub.add_parser(name, help=help_text, parents=[out])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("collar", help="collar widths and the hexagon gap at a given core length")
+    add("constants", "sharp length bounds and the corkscrew length table", _cmd_constants)
+
+    p = add("collar", "collar widths and the hexagon gap at a given core length", _cmd_collar)
     p.add_argument("--length", type=float, required=True)
     p.add_argument("--scan", action="store_true")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_collar)
 
-    p = sub.add_parser("pants-length", help="length of the (m,n) winding curve in a pair of pants")
+    p = add("pants-length", "length of the (m,n) winding curve in a pair of pants", _cmd_pants_length)
     p.add_argument("--l1", type=float, required=True)
     p.add_argument("--l2", type=float, required=True)
     p.add_argument("--l3", type=float, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--oracle", action="store_true")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_pants_length)
 
-    p = sub.add_parser("pants-min", help="grid-search the winding-curve length over pants moduli")
+    p = add("pants-min", "grid-search the winding-curve length over pants moduli", _cmd_pants_min)
     p.add_argument("--cap", type=int, required=True)
     p.add_argument("--lmax", type=float, required=True)
     p.add_argument("--grid", type=int, required=True)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_pants_min)
 
-    p = sub.add_parser("winding", help="arc length of a winding arc in a collar or cusp neighborhood")
+    p = add("winding", "arc length of a winding arc in a collar or cusp neighborhood", _cmd_winding)
     p.add_argument("--collar", action="store_true")
     p.add_argument("--cusp", action="store_true")
     p.add_argument("--w", type=float, required=True)
     p.add_argument("--core", type=float, default=None)
     p.add_argument("--width", type=float, default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_winding)
 
-    p = sub.add_parser("verify", help="run the full inequality and oracle audit")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_verify)
+    add("verify", "run the full inequality and oracle audit", _cmd_verify)
 
-    p = sub.add_parser("spectrum", help="bottom of the length spectrum with self-crossing counts")
+    p = add("spectrum", "bottom of the length spectrum with self-crossing counts", _cmd_spectrum)
     p.add_argument("--max-word-len", type=int, required=True)
     p.add_argument("--cap", type=float, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--cache", default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_spectrum)
 
     return parser
 
@@ -271,7 +258,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        text, code = args.func(args)
+        _emit(text, args.out)
+        return code
     except (ValueError, OverflowError, OSError) as exc:
         print(f"{parser.prog} {args.command}: error: {exc}", file=sys.stderr)
         return 2

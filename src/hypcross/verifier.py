@@ -258,11 +258,11 @@ def _extremum(best, x, r0, ts, largest):
     return (v, r0 + r, float(ts[c]))
 
 
-def _concavity_slice(alphas, ts, coshw1, ref, out) -> None:
+def _concavity_slice(alphas, ts, coshw1, ref):
     """Checks (a) and (b) on the column slice ts of every alpha row,
     _ROW_BLOCK rows per numpy call into three buffers of its own.
 
-    out receives, as (value, row, t) (see _extremum), the largest second
+    Returns, as (value, row, t) (see _extremum), the largest second
     difference and the smallest increment gap (rows with alpha <= 1 only),
     and the smallest drop in increments from one row to the next.
     """
@@ -290,28 +290,30 @@ def _concavity_slice(alphas, ts, coshw1, ref, out) -> None:
             drop = np.subtract(incr[first:nb], incr[1 + first : nb + 1], out=f[first:])
             best_drop = _extremum(best_drop, drop, r0 + first, ts, False)
         incr[0] = incr[nb]
-    out.extend((best_second, best_gap, best_drop))
+    return best_second, best_gap, best_drop
 
 
-def _run_in_threads(fn, arg_tuples) -> None:
-    """Call fn(*args) for each args, the first in this thread and each other
-    in a thread of its own; re-raise the first exception any call raised."""
+def _run_in_threads(fn, arg_tuples) -> list:
+    """[fn(*args) for args in arg_tuples], the first call in this thread, each
+    other in one of its own; re-raise the first exception any call raised."""
+    results = [None] * len(arg_tuples)
     errors = []
 
-    def run(args):
+    def run(i):
         try:
-            fn(*args)
+            results[i] = fn(*arg_tuples[i])
         except BaseException as exc:  # handed to the caller, which re-raises it
             errors.append(exc)
 
-    threads = [threading.Thread(target=run, args=(args,)) for args in arg_tuples[1:]]
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(1, len(arg_tuples))]
     for th in threads:
         th.start()
-    run(arg_tuples[0])
+    run(0)
     for th in threads:
         th.join()
     if errors:
         raise errors[0]
+    return results
 
 
 def verify_concavity_chain(t_grid: int = 10_000) -> SuiteReport:
@@ -353,9 +355,8 @@ def verify_concavity_chain(t_grid: int = 10_000) -> SuiteReport:
 
     n = min(_workers(), t_grid)
     edges = [t_grid * k // n for k in range(n + 1)]
-    outs = [[] for _ in range(n)]
-    slices = [(alphas, ts[lo:hi], coshw1[lo:hi], ref[lo:hi], out) for lo, hi, out in zip(edges, edges[1:], outs)]
-    _run_in_threads(_concavity_slice, slices)
+    slices = [(alphas, ts[lo:hi], coshw1[lo:hi], ref[lo:hi]) for lo, hi in zip(edges, edges[1:])]
+    outs = _run_in_threads(_concavity_slice, slices)
 
     # of equal keys max and min return the first: the earlier row, then the
     # leftmost slice
@@ -425,16 +426,17 @@ def verify_case1_chain(t_grid: int = 10_000) -> SuiteReport:
     return rep
 
 
-def run_verify_suite(seed: int = 20260809, pants_samples: int = 200, collar_samples: int = 100) -> SuiteReport:
+SEED, PANTS_SAMPLES, COLLAR_SAMPLES = 20260809, 200, 100  # run_verify_suite's random samples
+
+
+def run_verify_suite() -> SuiteReport:
     """Full audit: constants, bound minimum, both chains, the closed-form /
-    holonomy equivalence on random pants, and both winding-arc oracles."""
+    holonomy equivalence on random pants, and both winding-arc oracles.  Each
+    chain's check ids and notes are prefixed with its name."""
     from . import pants as pants_mod
     from . import winding as winding_mod
 
-    rep = SuiteReport(
-        "verify",
-        config={"seed": seed, "pants_samples": pants_samples, "collar_samples": collar_samples},
-    )
+    rep = SuiteReport("verify", config={"seed": SEED, "pants_samples": PANTS_SAMPLES, "collar_samples": COLLAR_SAMPLES})
     tab = constants()
     rep.add("two-crossing-bound-value", 1e-6 - abs(tab.bound_two_crossings - 2.0 * math.acosh(5.0)))
     rep.add("gap-below-threshold", CASE_SPLIT - tab.gap)
@@ -450,19 +452,14 @@ def run_verify_suite(seed: int = 20260809, pants_samples: int = 200, collar_samp
     rep.add("minimum-above-intermediate", h0 - inter, {"value": h0})
     rep.add("minimum-above-sharp-constant", h0 - tab.bound_two_crossings)
 
-    short = verify_concavity_chain()
-    for c in short.checks:
-        rep.checks.append(CheckResult(f"short-loop/{c.id}", c.passed, c.margin, c.witness))
-    rep.notes.extend(f"short-loop/{note}" for note in short.notes)
-    case1 = verify_case1_chain()
-    for c in case1.checks:
-        rep.checks.append(CheckResult(f"long-loop/{c.id}", c.passed, c.margin, c.witness))
-    rep.notes.extend(case1.notes)
+    for prefix, sub in (("short-loop", verify_concavity_chain()), ("long-loop", verify_case1_chain())):
+        rep.checks.extend(CheckResult(f"{prefix}/{c.id}", c.passed, c.margin, c.witness) for c in sub.checks)
+        rep.notes.extend(f"{prefix}/{note}" for note in sub.notes)
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SEED)
     worst = 0.0
     worst_at = None
-    for _ in range(pants_samples):
+    for _ in range(PANTS_SAMPLES):
         ls = rng.uniform(0.0, 4.0, size=3)
         ls[rng.random(3) < 0.25] = 0.0  # exercise the cusp limit explicitly
         m, n = int(rng.integers(1, 6)), int(rng.integers(1, 6))
@@ -477,7 +474,7 @@ def run_verify_suite(seed: int = 20260809, pants_samples: int = 200, collar_samp
     rep.add("cusp-arc-vs-distance-oracle", 1e-12 - dev)
 
     worst = 0.0
-    for _ in range(collar_samples):
+    for _ in range(COLLAR_SAMPLES):
         W = float(rng.uniform(0.05, 4.0))
         core = float(rng.uniform(0.05, 4.0))
         width = float(rng.uniform(0.05, 3.0))

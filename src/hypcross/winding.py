@@ -13,7 +13,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .halfplane import Point, dist
+from .halfplane import Point, complex_dist, dist
 
 
 @dataclass(frozen=True)
@@ -84,18 +84,24 @@ def cusp_winding_from_length(l: float) -> float:
 def saccheri_top_length(W: float, core_length: float, width: float) -> float:
     """Independent oracle for collar_arc_length.
 
-    Realize the core lift as the imaginary axis, drop the two feet at heights
-    1 and e^{W*core}, walk distance `width` along the perpendicular half-circles
-    (exponential-map parametrization tan(phi/2) = e^{-width}), and measure the
-    top side of the resulting Saccheri quadrilateral with the generic distance
-    formula.
+    Realize the core lift as the unit semicircle and put the Saccheri
+    quadrilateral's symmetry axis on the imaginary axis: its feet sit at
+    signed distance +-s from i along the core, s = W*core/2.  The point i*y,
+    y = e^{-width}, lies at distance `width` from i on the perpendicular
+    through i; translating it by +-s along the core gives the top corners
+    (+-X, Y), with D = cosh(s/2)^2 + sinh(s/2)^2 y^2, X = sinh(s)(1 + y^2)/(2D)
+    and Y = y/D.  Measure the top side between them with complex_dist.  The
+    corners are mirror images, so their difference 2X keeps every digit
+    however small s is; halving sinh(s) first keeps X finite wherever
+    sinh(s) is.
     """
-    d = W * core_length
-    phi = 2.0 * math.atan(math.exp(-width))
-    top1 = Point(math.cos(phi), math.sin(phi))
-    scale = math.exp(d)
-    top2 = Point(scale * math.cos(phi), scale * math.sin(phi))
-    return dist(top1, top2)
+    s = 0.5 * W * core_length
+    y = math.exp(-width)
+    c, h = math.cosh(0.5 * s), math.sinh(0.5 * s)
+    D = c * c + h * h * y * y
+    X = 0.5 * math.sinh(s) * (1.0 + y * y) / D
+    Y = y / D
+    return complex_dist(complex(X, Y), complex(-X, Y))
 
 
 def verify_cusp_lemma_geometrically(W: float) -> float:

@@ -124,6 +124,9 @@ def test_usage_error_exit_code(capsys):
         ["pants-min", "--cap", "6", "--lmax", "1e-7", "--grid", "4"],
         ["pants-min", "--cap", "6", "--lmax", "1e-320", "--grid", "4"],
         ["pants-min", "--cap", "6", "--lmax", "2000", "--grid", "4"],
+        # winding without exactly one mode, or a collar without its core and width
+        ["winding", "--w", "1"],
+        ["winding", "--collar", "--w", "1"],
     ],
 )
 @pytest.mark.filterwarnings("error")  # a warning would print to stderr outside pytest
@@ -239,7 +242,7 @@ def test_nan_margins_are_reported_with_exit_1(capsys, monkeypatch):
     assert {f"long-loop/{cid}" for cid in long_loop} <= set(failed)
     assert set(failed.values()) == {0.0}
     for cid in long_loop:
-        assert f"{cid}: non-finite margin nan" in res["notes"]
+        assert f"long-loop/{cid}: non-finite margin nan" in res["notes"]
 
 
 def test_spectrum_table(capsys):
@@ -254,11 +257,25 @@ def test_spectrum_table(capsys):
     assert lengths == sorted(lengths)
 
 
-def test_out_file(tmp_path, capsys):
-    target = tmp_path / "report.json"
-    code, out = run(capsys, "constants", "--out", str(target))
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["constants"],
+        ["collar", "--length", "1.3"],
+        ["pants-length", "--l1", "1", "--l2", "1.5", "--l3", "2", "--m", "2", "--n", "3"],
+        ["pants-min", "--cap", "6", "--lmax", "3", "--grid", "4"],
+        ["winding", "--cusp", "--w", "1"],
+        ["verify"],
+        ["spectrum", "--max-word-len", "4", "--cap", "4.585", "--k", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_out_file(tmp_path, capsys, argv):
+    # every subcommand writes to --out the same document it prints
+    target = tmp_path / "report.out"
+    code, out = run(capsys, *argv, "--out", str(target))
     assert code == 0
-    assert json.loads(target.read_text())["command"] == "constants"
+    assert target.read_text() == out
 
 
 def test_config_file_defaults_and_flag_wins(tmp_path, capsys):

@@ -408,10 +408,17 @@ def test_reports_deterministic():
 
 
 def test_full_suite_passes():
-    rep = run_verify_suite(pants_samples=40, collar_samples=25)
+    rep = run_verify_suite()
     assert rep.passed
     assert len(rep.checks) == 28
     assert all(c.passed == (c.margin > 0) for c in rep.checks)
+
+
+def test_suite_notes_carry_their_chain_prefix():
+    # a sub-suite's notes are prefixed like its check ids
+    notes = run_verify_suite().notes
+    assert notes
+    assert all(note.startswith(("short-loop/", "long-loop/")) for note in notes)
 
 
 @pytest.mark.parametrize("margin, passed", [(1e-300, True), (0.0, False), (-0.0, False), (-1e-300, False), (math.nan, False)])

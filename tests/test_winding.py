@@ -96,6 +96,18 @@ def test_saccheri_oracle_on_wide_collars(width):
     assert saccheri_top_length(1.0, 1.0, width) == collar_arc_length(CollarArcQuery(1.0, 1.0, width))
 
 
+@pytest.mark.parametrize(
+    "W, core, width",
+    [(W, core, width) for W, core in [(1e-300, 1.0), (1e-17, 1.0), (1e-10, 1e-7)] for width in (1e-3, 40.0, 710.4)]
+    + [(800.0, 1.0, 1.0), (1400.0, 1.0, 1.0)],
+)
+def test_saccheri_oracle_on_short_and_long_arcs(W, core, width):
+    # arcs far shorter and far longer than the suite's samples: W*core from
+    # 1e-300, where the feet nearly coincide, up to 1400
+    got = collar_arc_length(CollarArcQuery(W, core, width))
+    assert abs(saccheri_top_length(W, core, width) - got) <= 1e-12 * got
+
+
 @pytest.mark.parametrize("W", [0.1, 0.5, 1.0, 2.0, 5.0, 10.0])
 def test_cusp_distance_oracle(W):
     assert verify_cusp_lemma_geometrically(W) < 1e-12
