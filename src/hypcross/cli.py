@@ -7,15 +7,16 @@ code, and main writes the document to --out (if given) and to stdout.  Exit
 codes: 0 success, 1 failed checks, 2 usage errors, including winding's
 missing or conflicting mode flags, a ValueError raised by the library on an
 out-of-range input, an OverflowError, a result that strict JSON cannot hold
-(NaN or Infinity) and an OSError on a bad --config, --out or --cache path
-(each reported as one "hypcross <command>: error: ..." line on stderr,
-without a traceback).
+(NaN or Infinity) and an OSError on a bad --out or --cache path (each
+reported as one "hypcross <command>: error: ..." line on stderr, without a
+traceback).
 
 The numeric modules (collar, pants, winding, verifier) are imported inside the
 subcommands that use them, so spectrum runs without loading numpy.
 
 An optional key=value config file (--config FILE) supplies flag defaults with
-the same names; explicit flags win.
+the same names; explicit flags win.  A --config without a path, or a config
+file that cannot be read, exits 2 with one "hypcross: error: ..." line.
 """
 
 from __future__ import annotations
@@ -239,7 +240,7 @@ def main(argv: list[str] | None = None) -> int:
     if "--config" in argv:
         i = argv.index("--config")
         if i + 1 >= len(argv):
-            print("--config needs a file path", file=sys.stderr)
+            print("hypcross: error: --config needs a file path", file=sys.stderr)
             return 2
         try:
             cfg = _load_config(argv[i + 1])

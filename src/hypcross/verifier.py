@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import math
 import os
-import threading
-from dataclasses import dataclass, field
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -72,13 +72,7 @@ class ConstantsTable:
     case_split: float
 
     def as_dict(self) -> dict:
-        return {
-            "bound_one_crossing": self.bound_one_crossing,
-            "bound_two_crossings": self.bound_two_crossings,
-            "gap": self.gap,
-            "case_split": self.case_split,
-            "corkscrew_lengths": {str(k): corkscrew_length(k) for k in range(1, CORKSCREW_TABLE_LEN + 1)},
-        }
+        return asdict(self) | {"corkscrew_lengths": {str(k): corkscrew_length(k) for k in range(1, CORKSCREW_TABLE_LEN + 1)}}
 
 
 def constants() -> ConstantsTable:
@@ -293,29 +287,6 @@ def _concavity_slice(alphas, ts, coshw1, ref):
     return best_second, best_gap, best_drop
 
 
-def _run_in_threads(fn, arg_tuples) -> list:
-    """[fn(*args) for args in arg_tuples], the first call in this thread, each
-    other in one of its own; re-raise the first exception any call raised."""
-    results = [None] * len(arg_tuples)
-    errors = []
-
-    def run(i):
-        try:
-            results[i] = fn(*arg_tuples[i])
-        except BaseException as exc:  # handed to the caller, which re-raises it
-            errors.append(exc)
-
-    threads = [threading.Thread(target=run, args=(i,)) for i in range(1, len(arg_tuples))]
-    for th in threads:
-        th.start()
-    run(0)
-    for th in threads:
-        th.join()
-    if errors:
-        raise errors[0]
-    return results
-
-
 def verify_concavity_chain(t_grid: int = 10_000) -> SuiteReport:
     """Audit the short-loop chain on dense grids.
 
@@ -328,14 +299,14 @@ def verify_concavity_chain(t_grid: int = 10_000) -> SuiteReport:
     sharp constants stays below 1.06.
 
     The 1000 x t_grid (alpha, t) grid of (a) and (b) is split into contiguous
-    column slices of t, one per usable CPU, each walked by its own thread
-    (the first by the caller) through every alpha row, 8 rows per numpy call
-    into three buffers of its own.  Each slice keeps one running extremum of
-    each check, replaced only when strictly better, so it holds the slice's
-    first extremum in row-major order.  The slices' extrema are merged on
-    (value, row), a tie going to the leftmost slice.  So each margin and each
-    witness, the first extremum of the grid in row-major order, do not depend
-    on the number of slices.
+    column slices of t (np.array_split), one per usable CPU (_workers()),
+    each walked on a concurrent.futures thread pool of that size through
+    every alpha row, 8 rows per numpy call into three buffers of its own.
+    Each slice keeps one running extremum of each check, replaced only when
+    strictly better, so it holds the slice's first extremum in row-major
+    order.  The slices' extrema are merged on (value, row), a tie going to
+    the leftmost slice.  So each margin and each witness, the first extremum
+    of the grid in row-major order, do not depend on the number of slices.
 
     A non-finite cell fails its check: the margin is 0.0, the witness is the
     first such cell in row-major order, and a note names it.
@@ -354,9 +325,8 @@ def verify_concavity_chain(t_grid: int = 10_000) -> SuiteReport:
     ref = 2.0 * _arc(2.0, ts, coshw1) - 2.0 * _arc(1.0, ts, coshw1)
 
     n = min(_workers(), t_grid)
-    edges = [t_grid * k // n for k in range(n + 1)]
-    slices = [(alphas, ts[lo:hi], coshw1[lo:hi], ref[lo:hi]) for lo, hi in zip(edges, edges[1:])]
-    outs = _run_in_threads(_concavity_slice, slices)
+    with ThreadPoolExecutor(n) as pool:
+        outs = list(pool.map(_concavity_slice, [alphas] * n, *(np.array_split(x, n) for x in (ts, coshw1, ref))))
 
     # of equal keys max and min return the first: the earlier row, then the
     # leftmost slice

@@ -43,15 +43,25 @@ class CuspArcQuery:
 
 
 def collar_arc_length(q: CollarArcQuery) -> float:
-    """2*asinh(sinh(W*core/2) * cosh(width)); increasing in every argument."""
-    return 2.0 * math.asinh(math.sinh(0.5 * q.W * q.core_length) * math.cosh(q.width))
+    """2*asinh(sinh(W*core/2) * cosh(width)); increasing in every argument.
+    Where the length passes MAX_ARC_LENGTH, an OverflowError: math's own
+    where sinh or cosh alone leaves float range, else one naming q."""
+    length = 2.0 * math.asinh(math.sinh(0.5 * q.W * q.core_length) * math.cosh(q.width))
+    if length == math.inf:
+        raise OverflowError(f"collar arc length overflows at {q}")
+    return length
 
 
 def cusp_arc_length(q: CuspArcQuery) -> float:
     """2*log(2W + sqrt(4W^2 + 1)), the length of an arc of winding W whose
-    endpoints sit on the length-4 boundary horocycle."""
+    endpoints sit on the length-4 boundary horocycle.  hypot keeps the root
+    finite wherever 2W is, so the length is finite while 4W is (W up to
+    about 4.49e307); past that, an OverflowError names q."""
     w2 = 2.0 * q.W
-    return 2.0 * math.log(w2 + math.sqrt(w2 * w2 + 1.0))
+    length = 2.0 * math.log(w2 + math.hypot(w2, 1.0))
+    if length == math.inf:
+        raise OverflowError(f"cusp arc length overflows at {q}")
+    return length
 
 
 MAX_ARC_LENGTH = 2.0 * math.asinh(sys.float_info.max)  # about 1421: the l with sinh(l/2) finite; cosh(w) is finite for w up to half of it
@@ -93,7 +103,9 @@ def saccheri_top_length(W: float, core_length: float, width: float) -> float:
     and Y = y/D.  Measure the top side between them with complex_dist.  The
     corners are mirror images, so their difference 2X keeps every digit
     however small s is; halving sinh(s) first keeps X finite wherever
-    sinh(s) is.
+    sinh(s) is (past that, math.sinh raises OverflowError).  Where Y
+    underflows to 0 or the length overflows, the closed form overflows too,
+    and an OverflowError names the inputs.
     """
     s = 0.5 * W * core_length
     y = math.exp(-width)
@@ -101,7 +113,10 @@ def saccheri_top_length(W: float, core_length: float, width: float) -> float:
     D = c * c + h * h * y * y
     X = 0.5 * math.sinh(s) * (1.0 + y * y) / D
     Y = y / D
-    return complex_dist(complex(X, Y), complex(-X, Y))
+    length = complex_dist(complex(X, Y), complex(-X, Y)) if Y > 0.0 else math.inf
+    if length == math.inf:
+        raise OverflowError(f"quadrilateral top side overflows at W={W!r}, core_length={core_length!r}, width={width!r}")
+    return length
 
 
 def verify_cusp_lemma_geometrically(W: float) -> float:

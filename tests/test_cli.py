@@ -87,6 +87,15 @@ def test_winding_cusp(capsys):
     assert abs(res["arc_length"] - math.acosh(9.0)) < 1e-12
 
 
+def test_winding_cusp_far_out(capsys):
+    # past W about 6.7e153 the square 4W^2 overflows; the length does not
+    code, out = run(capsys, "winding", "--cusp", "--w", "1e155")
+    assert code == 0
+    length = json.loads(out)["results"]["arc_length"]
+    expected = 2 * math.asinh(2e155)
+    assert abs(length - expected) <= 1e-15 * expected
+
+
 def test_winding_mode_required(capsys):
     code = main(["winding", "--w", "1.0"])
     capsys.readouterr()
@@ -119,7 +128,7 @@ def test_usage_error_exit_code(capsys):
         ["pants-length", "--l1", "1", "--l2", "1", "--l3", "1", "--m", "100000", "--n", "2"],
         ["collar", "--length", "1e-320"],
         ["collar", "--length", "1e-320", "--scan"],
-        ["winding", "--cusp", "--w", "1e155"],
+        ["winding", "--cusp", "--w", "1e308"],  # 2W overflows
         # a grid step binary64 cannot resolve, and a grid that overflows
         ["pants-min", "--cap", "6", "--lmax", "1e-7", "--grid", "4"],
         ["pants-min", "--cap", "6", "--lmax", "1e-320", "--grid", "4"],
@@ -162,6 +171,15 @@ def test_bad_path_is_a_usage_error(tmp_path, capsys, argv, prefix):
     # the error names the path given on the command line, not a temp file
     assert repr(argv[-1]) in err
     assert ".tmp'" not in err
+
+
+def test_config_without_a_path_is_a_usage_error(capsys):
+    code = main(["verify", "--config"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("hypcross: error: ")
+    assert err.count("\n") == 1
 
 
 def test_verify_passes(capsys):

@@ -332,6 +332,14 @@ def test_a_failed_slice_raises(monkeypatch):
         verify_concavity_chain(100)
 
 
+@pytest.mark.parametrize("workers", [2, 3])
+def test_concavity_pool_leaves_no_threads(monkeypatch, workers):
+    monkeypatch.setattr(verifier, "_workers", lambda: workers)
+    before = threading.active_count()
+    verify_concavity_chain(100)
+    assert threading.active_count() == before
+
+
 def test_concurrent_suites_agree():
     # the audit's buffers belong to each call: suites run at once, with a
     # short switch interval and more threads than CPUs, report the same as

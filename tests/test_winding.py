@@ -61,6 +61,24 @@ def test_cusp_arc_asinh_identity():
         assert abs(cusp_arc_length(CuspArcQuery(W)) - 2 * math.asinh(2 * W)) < 1e-12
 
 
+@pytest.mark.parametrize("W", [1e154, 1e200, 1e300, 4e307])
+def test_cusp_arc_far_out(W):
+    # 4W^2 overflows past W about 6.7e153; the length stays finite while 4W does
+    expected = 2 * math.asinh(2 * W)
+    assert abs(cusp_arc_length(CuspArcQuery(W)) - expected) <= 1e-15 * expected
+
+
+def test_overflow_is_refused_loudly():
+    # the length passes MAX_ARC_LENGTH: the closed forms do not return inf,
+    # and the oracle, whose corner height underflows, does not divide by 0
+    with pytest.raises(OverflowError, match="710.4"):
+        collar_arc_length(CollarArcQuery(800.0, 1.0, 710.4))
+    with pytest.raises(OverflowError, match="710.4"):
+        saccheri_top_length(800.0, 1.0, 710.4)
+    with pytest.raises(OverflowError, match="1e\\+308"):
+        cusp_arc_length(CuspArcQuery(1e308))
+
+
 def test_collar_roundtrip():
     W, core, width = 1.7, 1.0, 0.5
     length = collar_arc_length(CollarArcQuery(W, core, width))
