@@ -8,9 +8,14 @@ pairings, for exactly one period.  The resulting chain of circular arcs is the
 geodesic drawn on the surface; transverse crossings among the arcs, merged by
 proximity and counted with the n-choose-2 convention at merged points, give
 the count.  One wall table (_WALLS) holds each wall as a geodesic with its
-side pairing: exits are the axis's crossings with the wall geodesics, and the
-on-wall and outside-the-domain tests loop over the table.  Every hyperbolic
-distance is halfplane.complex_dist, the formula behind halfplane.dist.
+side pairing, a generator from words.GEN_MAT: exits are the axis's crossings
+with the wall geodesics, and the on-wall and outside-the-domain tests loop
+over the table.  Every hyperbolic distance is halfplane.complex_dist, the
+formula behind halfplane.dist.
+
+Traced lines are half-circles: a hyperbolic axis has c != 0 and |tr| >= 6,
+so its endpoints are finite quadratic irrationals, and the integer side
+pairings keep them finite.  Only the walls x = -1 and x = +1 are vertical.
 
 Each arc's record (_Arc) is built once after the trace: both endpoints and
 the sorted parameter range, bare and widened by the merge slack, which the
@@ -32,10 +37,11 @@ that the tracer reads as floats.
 from __future__ import annotations
 
 import math
-from math import comb, inf as INF
+from math import comb
 
 from .halfplane import complex_dist, fixed_points, length_from_trace, mat_mul, moebius, moebius_point
 from .selfint import _check_word
+from .words import GEN_MAT
 
 
 class DegenerateCrossing(RuntimeError):
@@ -53,7 +59,8 @@ TRACER_TOL = 1e-6
 
 
 class _Line:
-    """Complete geodesic: vertical (x = v) or half-circle (center c, radius r)."""
+    """Complete geodesic: a half-circle (kind "c", center c, radius r), or
+    for the walls x = -1 and x = +1 only, a vertical line (kind "v", x = c)."""
 
     __slots__ = ("kind", "c", "r")
 
@@ -64,38 +71,27 @@ class _Line:
 
     @classmethod
     def through(cls, p: float, q: float) -> "_Line":
-        if p == INF:
-            return cls("v", q)
-        if q == INF:
-            return cls("v", p)
+        """The traced half-circle with boundary points p and q."""
+        if math.isinf(p) or math.isinf(q):
+            raise TracerError(f"traced line ends at infinity: {p!r}, {q!r}")
         return cls("c", 0.5 * (p + q), 0.5 * abs(q - p))
 
     def endpoints(self) -> tuple[float, float]:
-        if self.kind == "v":
-            return (self.c, INF)
         return (self.c - self.r, self.c + self.r)
 
     def param(self, z: complex) -> float:
-        """Monotone coordinate along the line: log-height or angle."""
-        if self.kind == "v":
-            return math.log(z.imag)
+        """Monotone coordinate along the line: the angle at the center."""
         return math.atan2(z.imag, z.real - self.c)
 
     def point(self, t: float) -> complex:
-        if self.kind == "v":
-            return complex(self.c, math.exp(t))
         return complex(self.c + self.r * math.cos(t), self.r * math.sin(t))
 
     def advance(self, t: float, dist: float, sign: float) -> float:
         """Parameter after moving hyperbolic distance `dist` in direction sign."""
-        if self.kind == "v":
-            return t + sign * dist
         return 2.0 * math.atan(math.tan(0.5 * t) * math.exp(sign * dist))
 
     def gap(self, t1: float, t2: float) -> float:
         """Hyperbolic distance between parameters t1, t2."""
-        if self.kind == "v":
-            return abs(t2 - t1)
         return abs(math.log(math.tan(0.5 * t2) / math.tan(0.5 * t1)))
 
     def offset(self, z: complex) -> float:
@@ -111,37 +107,28 @@ class _Line:
         return abs(abs(z - self.c) ** 2 - self.r**2) / (2.0 * self.r * z.imag)
 
     def same_as(self, other: "_Line", tol: float) -> bool:
-        if self.kind != other.kind:
-            return False
-        if self.kind == "v":
-            return abs(self.c - other.c) <= tol
         return abs(self.c - other.c) <= tol and abs(self.r - other.r) <= tol
 
 
-# the domain's walls, each with the side pairing that carries a point leaving
-# through it to its re-entry point on the partner wall
+# the domain's walls, each with the side pairing (a generator) that carries a
+# point leaving through it to its re-entry point on the partner wall
 _WALLS = {
-    "L": (_Line("v", -1.0), (1.0, 2.0, 0.0, 1.0)),  # x = -1, re-enter at x = +1
-    "R": (_Line("v", 1.0), (1.0, -2.0, 0.0, 1.0)),  # x = +1
-    "Cm": (_Line("c", -0.5, 0.5), (1.0, 0.0, 2.0, 1.0)),  # |2z+1| = 1, re-enter on |2z-1| = 1
-    "Cp": (_Line("c", 0.5, 0.5), (1.0, 0.0, -2.0, 1.0)),  # |2z-1| = 1
+    "L": (_Line("v", -1.0), GEN_MAT["a"]),  # x = -1, re-enter at x = +1
+    "R": (_Line("v", 1.0), GEN_MAT["A"]),  # x = +1
+    "Cm": (_Line("c", -0.5, 0.5), GEN_MAT["b"]),  # |2z+1| = 1, re-enter on |2z-1| = 1
+    "Cp": (_Line("c", 0.5, 0.5), GEN_MAT["B"]),  # |2z-1| = 1
 }
 
 
-def _line_crossing(l1: _Line, l2: _Line) -> complex | None:
-    if l1.kind == "v" and l2.kind == "v":
+def _line_crossing(line: _Line, other: _Line) -> complex | None:
+    """Crossing of the traced half-circle `line` with a wall or traced line."""
+    if other.kind == "v":
+        x, y2 = other.c, line.r * line.r - (other.c - line.c) ** 2
+    elif line.c == other.c:
         return None
-    if l1.kind == "v":
-        l1, l2 = l2, l1
-    if l2.kind == "v":
-        y2 = l1.r * l1.r - (l2.c - l1.c) ** 2
-        if y2 <= 0.0:
-            return None
-        return complex(l2.c, math.sqrt(y2))
-    if l1.c == l2.c:
-        return None
-    x = (l1.r**2 - l2.r**2 + l2.c**2 - l1.c**2) / (2.0 * (l2.c - l1.c))
-    y2 = l1.r**2 - (x - l1.c) ** 2
+    else:
+        x = (line.r**2 - other.r**2 + other.c**2 - line.c**2) / (2.0 * (other.c - line.c))
+        y2 = line.r**2 - (x - line.c) ** 2
     if y2 <= 0.0:
         return None
     return complex(x, math.sqrt(y2))
@@ -186,8 +173,6 @@ def _reduce_to_domain(z: complex):
 def _direction(line: _Line, goal: float) -> float:
     """Sign of the parameter increment when marching toward the boundary
     point `goal`, which is one of the line's two endpoints."""
-    if line.kind == "v":
-        return 1.0 if goal == INF else -1.0
     # circle chart: angle 0 at c+r, pi at c-r
     return -1.0 if abs(goal - (line.c + line.r)) < abs(goal - (line.c - line.r)) else 1.0
 
@@ -261,8 +246,6 @@ def _trace_arcs(w: str):
 
 
 def _tangent(line: _Line, z: complex) -> complex:
-    if line.kind == "v":
-        return 1j
     v = complex(-(z.imag), z.real - line.c)
     return v / abs(v)
 
@@ -278,7 +261,7 @@ class _Arc:
         self.line = line
         self.start, self.end = line.point(t_from), line.point(t_to)
         self.a, self.b = min(t_from, t_to), max(t_from, t_to)
-        slack = merge_tol / line.r if line.kind == "c" else merge_tol
+        slack = merge_tol / line.r
         self.wa, self.wb = self.a - slack, self.b + slack
 
     def holds(self, z: complex) -> bool:

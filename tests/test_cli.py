@@ -306,6 +306,21 @@ def test_config_file_defaults_and_flag_wins(tmp_path, capsys):
     assert json.loads(out)["config"]["length"] == 2.0
 
 
+def test_config_file_skips_comment_and_blank_lines(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# collar defaults\n\nlength=1.0\nscan=false\n")
+    code, out = run(capsys, "collar", "--config", str(cfg))
+    assert code == 0
+    assert json.loads(out)["config"]["length"] == 1.0
+
+
+def test_spectrum_without_a_witness(capsys):
+    # no class of word length <= 4 below the cap crosses itself 3 times
+    code, out = run(capsys, "spectrum", "--max-word-len", "4", "--cap", "4.6", "--k", "3")
+    assert code == 0
+    assert out.splitlines()[-1] == "# witness k=3: none"
+
+
 def test_spectrum_cache_flag(tmp_path, capsys):
     cache = tmp_path / "cache.tsv"
     _, first = run(capsys, "spectrum", "--max-word-len", "4", "--cap", "4.6", "--k", "2", "--cache", str(cache))

@@ -113,10 +113,24 @@ def test_screen_keeps_every_true_neighbour(vertical, c, r, s, u, phi, merge_tol)
     # q on the line (log-height in [-7, 7], or angle in [1e-3, pi - 1e-3]),
     # p within merge_tol of q: the strand count's screen must keep p
     line = _Line("v", c) if vertical else _Line("c", c, r)
-    q = line.point(14.0 * s - 7.0 if vertical else 1e-3 + s * (math.pi - 2e-3))
+    q = complex(c, math.exp(14.0 * s - 7.0)) if vertical else line.point(1e-3 + s * (math.pi - 2e-3))
     p = q + q.imag * u * merge_tol * complex(math.cos(phi), math.sin(phi))
     assume(complex_dist(p, q) < merge_tol)
     assert line.sinh_dist(p) < _screen(merge_tol)
+
+
+def test_a_traced_line_through_infinity_is_refused():
+    # the pairing b sends the endpoint -1/2 to infinity; a hyperbolic axis
+    # never ends there, so the tracer refuses it rather than build a vertical line
+    with pytest.raises(TracerError):
+        tracer._map_line((1.0, 0.0, 2.0, 1.0), _Line.through(-0.5, 3.0))
+
+
+def test_start_point_carried_across_a_circle_wall():
+    # through length 11 the only classes whose start point the reduction to
+    # the domain moves through a circle wall's side pairing
+    assert tracer_count("aBaBaBaBB") == 4 == self_intersection_count("aBaBaBaBB")
+    assert tracer_count("aBaBaBaBaBB") == 5 == self_intersection_count("aBaBaBaBaBB")
 
 
 def test_length_twelve_class_where_default_tracer_overcounts():
