@@ -5,10 +5,9 @@ Submodules (``import hypcross`` loads only the numpy-free halfplane, words,
 selfint and spectrum, whose records are named tuples, not dataclasses; import
 the others by name; collar, pants and verifier need numpy, winding and
 tracer do not):
-  halfplane  -- the 2x2 tuple kernel (mat_mul, mat_inv, moebius,
-                moebius_point, fixed_points) shared by selfint and tracer,
-                half-plane points and distance, and the trace-length
-                dictionary
+  halfplane  -- the 2x2 tuple kernel (mat_mul, moebius on finite points,
+                fixed_points) shared by selfint and tracer, half-plane
+                points and distance, and the trace-length dictionary
   collar     -- collar half-widths, asymmetric profiles, hexagon gap
   pants      -- two-boundary winding curve lengths with a trace oracle
   winding    -- arc length <-> winding number dictionary for collars and cusps
@@ -22,7 +21,7 @@ tracer do not):
                 (the module: call hypcross.spectrum.spectrum)
 """
 
-from .halfplane import INFINITY, Point, dist
+from .halfplane import Point, dist
 from .words import canonical_class, enumerate_classes, word_trace
 from .selfint import boundary_count, self_intersection_count
 from . import spectrum

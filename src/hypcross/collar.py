@@ -90,7 +90,10 @@ def width_scan() -> dict:
       * w1 < 2w on (0, 2.3]
       * hexagon_gap == 2*w1 to 1e-12
       * w and w1 strictly decreasing (negative finite differences)
-    and locates the crossover core length where w1 = 2w (it lies beyond 2.3).
+    and gives the crossover core length where w1 = 2w (it lies beyond 2.3) in
+    closed form.  With u = e^(x/4), w1 = 2w reads coth(x/8) = coth(x/4)^2,
+    which reduces to u^3 = u^2 + u + 1; so the crossover is 4*log(tau), tau
+    the tribonacci constant (1 + cbrt(19 + 3 sqrt 33) + cbrt(19 - 3 sqrt 33))/3.
     """
     xs = np.linspace(20.0 / GRID_POINTS, 20.0, GRID_POINTS)
     w = np.arcsinh(1.0 / np.sinh(xs / 2.0))
@@ -101,14 +104,8 @@ def width_scan() -> dict:
     w_s = np.arcsinh(1.0 / np.sinh(xs_short / 2.0))
     w1_s = np.arcsinh(1.0 / np.sinh(xs_short / 4.0))
 
-    f = lambda x: wide_width(x) - 2.0 * collar_width(x)
-    lo, hi = 2.3, 10.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if f(lo) * f(mid) <= 0.0:
-            hi = mid
-        else:
-            lo = mid
+    root = 3.0 * math.sqrt(33.0)
+    tau = (1.0 + (19.0 + root) ** (1 / 3) + (19.0 - root) ** (1 / 3)) / 3.0
 
     return {
         "grid_points": GRID_POINTS,
@@ -119,5 +116,5 @@ def width_scan() -> dict:
         "gap_identity_max_abs_dev": float(np.max(np.abs(gap - 2.0 * w1))),
         "w_decreasing": bool(np.all(np.diff(w) < 0.0)),
         "w1_decreasing": bool(np.all(np.diff(w1) < 0.0)),
-        "w1_eq_2w_crossover": 0.5 * (lo + hi),
+        "w1_eq_2w_crossover": 4.0 * math.log(tau),
     }

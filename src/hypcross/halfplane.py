@@ -1,11 +1,12 @@
 """Upper half-plane primitives: the 2x2 matrix kernel, distance, and the
 trace-length dictionary.
 
-The kernel (mat_mul, mat_inv, moebius, moebius_point, fixed_points) works on
-plain tuples (a, b, c, d) for [[a, b], [c, d]].  The product and inverse use
-only +, - and *, so int and float entries both work and int entries stay
-exact.  Selfint's boundary count and the tracer go through it; words
-applies its generators as column steps of its own.
+The kernel (mat_mul, moebius, fixed_points) works on plain tuples
+(a, b, c, d) for [[a, b], [c, d]].  The product uses only +, - and *, so int
+and float entries both work and int entries stay exact.  moebius acts on
+finite points only, real or complex: the tracer's lines never end at
+infinity.  Selfint's boundary count and the tracer go through the kernel;
+words applies its generators as column steps of its own.
 
 Point is a named tuple, not a dataclass, which keeps dataclasses and inspect
 out of ``import hypcross``.  It checks its arguments in ``__new__`` (``_make``
@@ -17,10 +18,6 @@ from __future__ import annotations
 import math
 import sys
 from collections import namedtuple
-
-# Boundary points of the half-plane are reals, with math.inf as the point at
-# infinity.  Every consumer of a boundary value handles INFINITY explicitly.
-INFINITY = math.inf
 
 PARABOLIC_TOL = 1e-12
 
@@ -38,26 +35,10 @@ def mat_mul(m, n):
     return (a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s)
 
 
-def mat_inv(m):
-    """Adjugate (d, -b, -c, a): the inverse of a unit-determinant matrix."""
-    a, b, c, d = m
-    return (d, -b, -c, a)
-
-
-def moebius(m, x):
-    """Moebius action x -> (a x + b)/(c x + d) on a boundary point
-    (INFINITY-aware: a pole maps to INFINITY, INFINITY maps to a/c)."""
-    a, b, c, d = m
-    if x == INFINITY:
-        return a / c if c != 0.0 else INFINITY
-    den = c * x + d
-    if den == 0.0:
-        return INFINITY
-    return (a * x + b) / den
-
-
-def moebius_point(m, z: complex) -> complex:
-    """Moebius action on an interior point z of the half-plane."""
+def moebius(m, z):
+    """Moebius action z -> (a z + b)/(c z + d) on a finite point: a real
+    boundary point or a complex interior one.  A pole raises
+    ZeroDivisionError."""
     a, b, c, d = m
     return (a * z + b) / (c * z + d)
 

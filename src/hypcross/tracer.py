@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 from math import comb
 
-from .halfplane import complex_dist, fixed_points, length_from_trace, mat_mul, moebius, moebius_point
+from .halfplane import complex_dist, fixed_points, length_from_trace, mat_mul, moebius
 from .selfint import _check_word
 from .words import GEN_MAT
 
@@ -142,7 +142,7 @@ def _map_line(m, line: _Line) -> _Line:
 def _wall_images(z: complex, tol: float) -> list[complex]:
     """The point together with its side-pairing copies across every wall
     within hyperbolic distance asinh(tol) of it."""
-    return [z] + [moebius_point(pair, z) for wall, pair in _WALLS.values() if wall.sinh_dist(z) < tol]
+    return [z] + [moebius(pair, z) for wall, pair in _WALLS.values() if wall.sinh_dist(z) < tol]
 
 
 def _containing_wall(z: complex) -> str | None:
@@ -157,12 +157,12 @@ def _reduce_to_domain(z: complex):
         k = math.floor((z.real + 1.0) / 2.0)
         if k != 0:
             shift = (1.0, -2.0 * k, 0.0, 1.0)
-            z = moebius_point(shift, z)
+            z = moebius(shift, z)
             m = mat_mul(shift, m)
         # inside the strip; leave any half-disk cut off by a circle wall
         for wall, step in _WALLS.values():
             if wall.kind == "c" and abs(z - wall.c) < wall.r - 1e-13:
-                z = moebius_point(step, z)
+                z = moebius(step, z)
                 m = mat_mul(step, m)
                 break
         else:
@@ -223,7 +223,7 @@ def _trace_arcs(w: str):
             traveled += seg
         # carry the march through the exit wall's side pairing
         pair = _WALLS[name][1]
-        z = moebius_point(pair, line.point(th))
+        z = moebius(pair, line.point(th))
         goal = moebius(pair, goal)
         line = _map_line(pair, line)
         sign = _direction(line, goal)

@@ -99,6 +99,9 @@ def test_width_scan():
     x = scan["w1_eq_2w_crossover"]
     assert x > 2.3
     assert abs(x - 2.4375114537440243) < 1e-9
+    # the closed form: u = e^(x/4) is the tribonacci constant
+    u = math.exp(x / 4)
+    assert abs(u**3 - u**2 - u - 1) < 1e-12
     assert wide_width(x - 1e-6) < 2 * collar_width(x - 1e-6)
     assert wide_width(x + 1e-6) > 2 * collar_width(x + 1e-6)
 

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypcross.halfplane import mat_inv, mat_mul
+from hypcross import pants
+from hypcross.halfplane import mat_mul
 from hypcross.pants import (
     MAX_WINDING,
     CurveClass,
@@ -67,6 +68,15 @@ def test_trace_polynomial_nonnegative_with_the_cusp_trace_as_constant():
         assert poly[(0, 0, 0)] == abs(word_trace(w)), w
 
 
+def test_trace_polynomials_survive_a_cleared_memo():
+    # the memo is bounded and evicts; a rebuild from empty gives the same dicts
+    classes = enumerate_classes(8)
+    before = [trace_polynomial(w) for w in classes]
+    pants._class_trace.cache_clear()
+    assert [trace_polynomial(w) for w in classes] == before
+    assert pants._class_trace.cache_info().currsize <= pants.TRACE_MEMO_SIZE
+
+
 @pytest.mark.parametrize(
     "A, B",
     [((2, 1, 3, 2), (1, 1, 1, 2)), ((5, 2, 2, 1), (1, -1, 1, 0)), (GEN_MAT["a"], GEN_MAT["b"])],
@@ -75,8 +85,9 @@ def test_trace_polynomial_nonnegative_with_the_cusp_trace_as_constant():
 def test_trace_polynomial_matches_integer_matrix_traces(A, B):
     # any A, B in SL2(Z) realize x = tr A, y = tr B, z = -tr(AB^-1), so the
     # signed polynomial at the shifted traces is the word's exact trace
-    gens = {"a": A, "A": mat_inv(A), "b": B, "B": mat_inv(B)}
-    ab_inv = mat_mul(A, mat_inv(B))
+    A_inv, B_inv = (A[3], -A[1], -A[2], A[0]), (B[3], -B[1], -B[2], B[0])
+    gens = {"a": A, "A": A_inv, "b": B, "B": B_inv}
+    ab_inv = mat_mul(A, B_inv)
     u, v, s = A[0] + A[3] - 2, B[0] + B[3] - 2, -(ab_inv[0] + ab_inv[3]) - 2
     for w in enumerate_classes(6):
         m = (1, 0, 0, 1)

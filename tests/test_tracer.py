@@ -120,9 +120,12 @@ def test_screen_keeps_every_true_neighbour(vertical, c, r, s, u, phi, merge_tol)
 
 
 def test_a_traced_line_through_infinity_is_refused():
-    # the pairing b sends the endpoint -1/2 to infinity; a hyperbolic axis
-    # never ends there, so the tracer refuses it rather than build a vertical line
+    # a hyperbolic axis never ends at infinity, so the tracer refuses a line
+    # that does rather than build a vertical one; the pairing b has its pole
+    # at -1/2, and moebius, which maps finite points only, divides by zero there
     with pytest.raises(TracerError):
+        _Line.through(-0.5, math.inf)
+    with pytest.raises(ZeroDivisionError):
         tracer._map_line((1.0, 0.0, 2.0, 1.0), _Line.through(-0.5, 3.0))
 
 
