@@ -8,17 +8,17 @@ side is still positive.
 """
 
 from hypcross.collar import (
-    CollarProfile,
+    CUSP_HOROCYCLE_LENGTH,
     collar_width,
-    cusp_horocycle_bound,
+    generalized_width,
     hexagon_gap,
     wide_width,
     width_scan,
 )
 
 for x in (0.25, 1.06, 2.0, 2.3):
-    p = CollarProfile.from_core_length(x)
-    print(f"core {x:4.2f}:  w = {p.w:.6f}   w1 = {p.w1:.6f}   narrow = {p.w_narrow:.6f}")
+    w1, narrow = generalized_width(x)
+    print(f"core {x:4.2f}:  w = {collar_width(x):.6f}   w1 = {w1:.6f}   narrow = {narrow:.6f}")
 
 print("\nvery short cores get huge collars: w(1e-6) =", collar_width(1e-6))
 
@@ -33,4 +33,4 @@ print("  w1 < 2w on (0, 2.3]:        ", scan["w1_lt_2w_on_0_2.3"])
 print("  gap identity max deviation: ", scan["gap_identity_max_abs_dev"])
 print("  rebalancing stops working at core length", scan["w1_eq_2w_crossover"])
 
-print("\ncusps always own the horocycle neighborhood of boundary length", cusp_horocycle_bound())
+print("\ncusps always own the horocycle neighborhood of boundary length", CUSP_HOROCYCLE_LENGTH)

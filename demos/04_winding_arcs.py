@@ -7,8 +7,6 @@ are rebuilt here from explicit configurations in the half-plane.
 """
 
 from hypcross.winding import (
-    CollarArcQuery,
-    CuspArcQuery,
     collar_arc_length,
     cusp_arc_length,
     cusp_winding_from_length,
@@ -17,8 +15,7 @@ from hypcross.winding import (
     winding_from_length,
 )
 
-q = CollarArcQuery(W=1.7, core_length=1.0, width=0.5)
-L = collar_arc_length(q)
+L = collar_arc_length(1.7, 1.0, 0.5)
 print("collar arc, W=1.7, core 1.0, width 0.5:")
 print("  closed form:          ", L)
 print("  Saccheri quadrilateral:", saccheri_top_length(1.7, 1.0, 0.5))
@@ -26,7 +23,7 @@ print("  winding recovered:    ", winding_from_length(L, 1.0, 0.5))
 
 print("\ncusp arcs:")
 for W in (0.5, 1.0, 2.0):
-    L = cusp_arc_length(CuspArcQuery(W))
+    L = cusp_arc_length(W)
     print(f"  W = {W}: length {L:.12f}, recovered W = {cusp_winding_from_length(L):.12f}")
 
 print("\nhalf-plane oracle (endpoints (-2W, 1), (2W, 1)) deviation:")

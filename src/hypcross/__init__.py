@@ -8,7 +8,7 @@ tracer do not):
   halfplane  -- the 2x2 tuple kernel (mat_mul, moebius on finite points,
                 fixed_points) shared by selfint and tracer, half-plane
                 points and distance, and the trace-length dictionary
-  collar     -- collar half-widths, asymmetric profiles, hexagon gap
+  collar     -- collar half-widths, asymmetric width pairs, hexagon gap
   pants      -- two-boundary winding curve lengths with a trace oracle
   winding    -- arc length <-> winding number dictionary for collars and cusps
   verifier   -- grid audits of the sharp-bound inequality chains

@@ -27,7 +27,7 @@ import math
 import sys
 
 from . import __version__
-from .spectrum import min_witness, spectrum as compute_spectrum
+from .spectrum import format_entry, min_witness, spectrum as compute_spectrum
 
 
 def _document(command: str, config: dict, results: dict) -> str:
@@ -61,17 +61,16 @@ def _cmd_collar(args) -> tuple[str, int]:
     w = collar.collar_width(x)
     w1, narrow = collar.generalized_width(x)
     gap = collar.hexagon_gap(x)
-    profile = collar.CollarProfile.from_core_length(x)
     results = {
         "core_length": x,
         "width": w,
         "wide_width": w1,
         "narrow_width_raw": narrow,
-        "narrow_width": profile.w_narrow,
-        "degenerate": profile.degenerate,
+        "narrow_width": max(narrow, 0.0),
+        "degenerate": narrow < 0.0,
         "hexagon_gap": gap,
         "gap_identity_residual": gap - 2.0 * w1,
-        "cusp_horocycle_bound": collar.cusp_horocycle_bound(),
+        "cusp_horocycle_bound": collar.CUSP_HOROCYCLE_LENGTH,
     }
     if args.scan:
         results["scan"] = collar.width_scan()
@@ -118,8 +117,7 @@ def _cmd_winding(args) -> tuple[str, int]:
     if args.collar:
         if args.core is None or args.width is None:
             raise ValueError("--collar needs --core and --width")
-        q = winding.CollarArcQuery(args.w, args.core, args.width)
-        length = winding.collar_arc_length(q)
+        length = winding.collar_arc_length(args.w, args.core, args.width)
         back = winding.winding_from_length(length, args.core, args.width)
         oracle = winding.saccheri_top_length(args.w, args.core, args.width)
         results = {
@@ -130,8 +128,7 @@ def _cmd_winding(args) -> tuple[str, int]:
         }
         config = {"collar": True, "w": args.w, "core": args.core, "width": args.width}
     else:
-        q = winding.CuspArcQuery(args.w)
-        length = winding.cusp_arc_length(q)
+        length = winding.cusp_arc_length(args.w)
         back = winding.cusp_winding_from_length(length)
         results = {
             "arc_length": length,
@@ -161,14 +158,11 @@ def _cmd_spectrum(args) -> tuple[str, int]:
         f"# spectrum max_word_len={args.max_word_len} cap={args.cap!r} k={args.k}",
         "# word\ttrace\tlength\tcount\tmethod",
     ]
-    for e in entries:
-        lines.append(f"{e.word}\t{e.trace!r}\t{e.length!r}\t{e.self_intersections}\t{e.count_method}")
+    lines.extend(map(format_entry, entries))
     if witness is None:
         lines.append(f"# witness k={args.k}: none")
     else:
-        lines.append(
-            f"# witness k={args.k}: {witness.word}\t{witness.trace!r}\t{witness.length!r}\t{witness.self_intersections}"
-        )
+        lines.append(f"# witness k={args.k}: " + format_entry(witness).rsplit("\t", 1)[0])  # no method column
     return "\n".join(lines), 0
 
 

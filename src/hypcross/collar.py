@@ -1,5 +1,5 @@
 """Collar half-widths around short geodesics, the asymmetric (widened) collar
-profile, the hexagon gap identity, and the embedded cusp-neighborhood constant.
+widths, the hexagon gap identity, and the embedded cusp-neighborhood constant.
 
 Only widths and gap values are computed here; the embeddedness statements they
 come from enter the test suite as inequality checks over grids.
@@ -8,7 +8,6 @@ come from enter the test suite as inequality checks over grids.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,8 +37,8 @@ def generalized_width(x: float) -> tuple[float, float]:
     """Asymmetric half-width pair (wide, narrow) = (w1(x), 2 w(x) - w1(x)).
 
     The narrow side is returned unclamped; it goes negative once the core is
-    long enough that the widened side eats the whole symmetric collar (see
-    CollarProfile for the clamped version).
+    long enough that the widened side eats the whole symmetric collar (the
+    crossover in width_scan); hypcross collar reports it clamped at zero.
     """
     w1 = wide_width(x)
     return w1, 2.0 * collar_width(x) - w1
@@ -54,29 +53,7 @@ def hexagon_gap(x: float) -> float:
     return 2.0 * math.log1p(2.0 / math.expm1(0.25 * x))
 
 
-def cusp_horocycle_bound() -> float:
-    """Boundary length of the horocycle neighborhood embedded around any cusp."""
-    return 4.0
-
-
-@dataclass(frozen=True)
-class CollarProfile:
-    """Widths of the collar around a core of a given length: symmetric
-    half-width w, wide side w1 > w, and the remaining narrow side 2w - w1
-    clamped at zero.  degenerate is True when the clamp fired (core too long
-    for the asymmetric collar to keep a positive narrow side)."""
-
-    core_length: float
-    w: float
-    w1: float
-    w_narrow: float
-    degenerate: bool
-
-    @classmethod
-    def from_core_length(cls, x: float) -> "CollarProfile":
-        w = collar_width(x)
-        w1, narrow = generalized_width(x)
-        return cls(x, w, w1, max(narrow, 0.0), narrow < 0.0)
+CUSP_HOROCYCLE_LENGTH = 4.0  # boundary length of the horocycle neighborhood embedded around any cusp
 
 
 GRID_POINTS = 10_000

@@ -36,6 +36,11 @@ class SpectrumEntry(namedtuple("SpectrumEntry", "word trace length self_intersec
     __slots__ = ()
 
 
+def format_entry(e: SpectrumEntry) -> str:
+    """One entry as a tab-separated line of the spectrum table and the cache."""
+    return f"{e.word}\t{e.trace!r}\t{e.length!r}\t{e.self_intersections}\t{e.count_method}"
+
+
 def _count_class(w: str) -> tuple[int, str]:
     """Count w = v^k from its primitive root v: C(2k, 2) * i(v), the frozen
     convention hypcross.tracer.tracer_count documents, which is i(v) itself
@@ -146,7 +151,7 @@ def _write_cache(path: str, key: str, entries: list[SpectrumEntry]) -> None:
         with os.fdopen(fd, "w", encoding="ascii") as fh:
             fh.write(key + "\n")
             for e in entries:
-                fh.write(f"{e.word}\t{e.trace!r}\t{e.length!r}\t{e.self_intersections}\t{e.count_method}\n")
+                fh.write(format_entry(e) + "\n")
             fh.write(f"# entries={len(entries)}\n")
         os.replace(tmp, path)
     except BaseException:

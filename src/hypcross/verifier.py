@@ -448,7 +448,7 @@ def run_verify_suite() -> SuiteReport:
         W = float(rng.uniform(0.05, 4.0))
         core = float(rng.uniform(0.05, 4.0))
         width = float(rng.uniform(0.05, 3.0))
-        got = winding_mod.collar_arc_length(winding_mod.CollarArcQuery(W, core, width))
+        got = winding_mod.collar_arc_length(W, core, width)
         oracle = winding_mod.saccheri_top_length(W, core, width)
         worst = max(worst, abs(got - oracle))
     rep.add("collar-arc-vs-quadrilateral-oracle", 1e-9 - worst)

@@ -3,64 +3,48 @@
 The dictionary runs both ways (winding number <-> arc length), and each closed
 form has an independent geometric oracle: an explicit Saccheri quadrilateral
 built in the half-plane for collar arcs, and the point-pair distance on the
-height-one horocycle for cusp arcs, one winding number per call.  The module
-needs no numpy.
+height-one horocycle for cusp arcs, one winding number per call.  Arguments
+are plain floats, and each oracle refuses what its closed form refuses.  The
+module needs neither numpy nor dataclasses.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 from .halfplane import Point, complex_dist, dist
 
 
-@dataclass(frozen=True)
-class CollarArcQuery:
-    """Arc winding W times through a collar of the given core length, with
-    endpoints at distance `width` from the core."""
-
-    W: float
-    core_length: float
-    width: float
-
-    def __post_init__(self):
-        for v in (self.W, self.core_length, self.width):
-            if not (math.isfinite(v) and v > 0.0):
-                raise ValueError(f"all query fields must be finite and > 0, got {v}")
+def _check_positive(**args: float) -> None:
+    """ValueError naming the first argument that is not finite and > 0."""
+    for name, v in args.items():
+        if not (math.isfinite(v) and v > 0.0):
+            raise ValueError(f"{name} must be finite and > 0, got {v}")
 
 
-@dataclass(frozen=True)
-class CuspArcQuery:
-    """Arc winding W times through the embedded length-4 cusp neighborhood."""
-
-    W: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.W) and self.W > 0.0):
-            raise ValueError(f"W must be finite and > 0, got {self.W}")
-
-
-def collar_arc_length(q: CollarArcQuery) -> float:
-    """2*asinh(sinh(W*core/2) * cosh(width)); increasing in every argument.
-    Where the length passes MAX_ARC_LENGTH, an OverflowError: math's own
-    where sinh or cosh alone leaves float range, else one naming q."""
-    length = 2.0 * math.asinh(math.sinh(0.5 * q.W * q.core_length) * math.cosh(q.width))
+def collar_arc_length(W: float, core_length: float, width: float) -> float:
+    """2*asinh(sinh(W*core/2) * cosh(width)) for an arc winding W times
+    through a collar, endpoints at distance width from the core; increasing
+    in every argument.  Past MAX_ARC_LENGTH, an OverflowError: math's own
+    where sinh or cosh alone overflows, else one naming the arguments."""
+    _check_positive(W=W, core_length=core_length, width=width)
+    length = 2.0 * math.asinh(math.sinh(0.5 * W * core_length) * math.cosh(width))
     if length == math.inf:
-        raise OverflowError(f"collar arc length overflows at {q}")
+        raise OverflowError(f"collar arc length overflows at W={W!r}, core_length={core_length!r}, width={width!r}")
     return length
 
 
-def cusp_arc_length(q: CuspArcQuery) -> float:
+def cusp_arc_length(W: float) -> float:
     """2*log(2W + sqrt(4W^2 + 1)), the length of an arc of winding W whose
     endpoints sit on the length-4 boundary horocycle.  hypot keeps the root
     finite wherever 2W is, so the length is finite while 4W is (W up to
-    about 4.49e307); past that, an OverflowError names q."""
-    w2 = 2.0 * q.W
+    about 4.49e307); past that, an OverflowError names W."""
+    _check_positive(W=W)
+    w2 = 2.0 * W
     length = 2.0 * math.log(w2 + math.hypot(w2, 1.0))
     if length == math.inf:
-        raise OverflowError(f"cusp arc length overflows at {q}")
+        raise OverflowError(f"cusp arc length overflows at W={W!r}")
     return length
 
 
@@ -75,8 +59,7 @@ def winding_from_length(l: float, core_length: float, width: float) -> float:
     collar_arc_length accepts).  Outside it, a ValueError."""
     if not 0.0 < l <= MAX_ARC_LENGTH:
         raise ValueError(f"arc length must be > 0 and <= {MAX_ARC_LENGTH}, got {l}")
-    if not (math.isfinite(core_length) and core_length > 0.0):
-        raise ValueError(f"core length must be finite and > 0, got {core_length}")
+    _check_positive(core_length=core_length)
     if not 0.0 < width <= 0.5 * MAX_ARC_LENGTH:
         raise ValueError(f"width must be > 0 and <= {0.5 * MAX_ARC_LENGTH}, got {width}")
     return 2.0 * math.asinh(math.sinh(0.5 * l) / math.cosh(width)) / core_length
@@ -105,8 +88,10 @@ def saccheri_top_length(W: float, core_length: float, width: float) -> float:
     however small s is; halving sinh(s) first keeps X finite wherever
     sinh(s) is (past that, math.sinh raises OverflowError).  Where Y
     underflows to 0 or the length overflows, the closed form overflows too,
-    and an OverflowError names the inputs.
+    and an OverflowError names the inputs; what collar_arc_length refuses
+    raises its ValueError.
     """
+    _check_positive(W=W, core_length=core_length, width=width)
     s = 0.5 * W * core_length
     y = math.exp(-width)
     c, h = math.cosh(0.5 * s), math.sinh(0.5 * s)
@@ -120,10 +105,8 @@ def saccheri_top_length(W: float, core_length: float, width: float) -> float:
 
 
 def verify_cusp_lemma_geometrically(W: float) -> float:
-    """Deviation between cusp_arc_length at winding W and the half-plane
-    distance of the endpoint pair (-2W, 1), (2W, 1).  Both sides are exact
-    closed forms; the deviation is float noise."""
-    if W <= 0.0:
-        raise ValueError(f"W must be > 0, got {W}")
-    oracle = dist(Point(-2.0 * W, 1.0), Point(2.0 * W, 1.0))
-    return abs(oracle - cusp_arc_length(CuspArcQuery(W)))
+    """Deviation (float noise) between cusp_arc_length at winding W, which
+    goes first and so sets the domain, and the half-plane distance of the
+    endpoint pair (-2W, 1), (2W, 1)."""
+    length = cusp_arc_length(W)
+    return abs(dist(Point(-2.0 * W, 1.0), Point(2.0 * W, 1.0)) - length)

@@ -90,7 +90,7 @@ def test_criterion_4_winding_lemmas():
     worst = 0.0
     for _ in range(100):
         W, core, width = rng.uniform(0.05, 4.0), rng.uniform(0.05, 4.0), rng.uniform(0.05, 3.0)
-        got = winding.collar_arc_length(winding.CollarArcQuery(W, core, width))
+        got = winding.collar_arc_length(W, core, width)
         worst = max(worst, abs(got - winding.saccheri_top_length(W, core, width)))
     assert worst < 1e-9
     _report(4, "winding lemmas vs geometric oracles", t0, 0.5)

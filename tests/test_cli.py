@@ -47,6 +47,18 @@ def test_collar_document(capsys):
     assert abs(res["width"] - math.asinh(1 / math.sinh(0.5))) < 1e-12
     assert abs(res["gap_identity_residual"]) < 1e-12
     assert res["cusp_horocycle_bound"] == 4.0
+    assert res["narrow_width"] == res["narrow_width_raw"] > 0.0
+    assert res["degenerate"] is False
+
+
+def test_collar_document_clamps_the_narrow_side(capsys):
+    # past the crossover the narrow side is negative: reported as 0, degenerate
+    code, out = run(capsys, "collar", "--length", "10")
+    assert code == 0
+    res = json.loads(out)["results"]
+    assert res["narrow_width_raw"] < 0.0
+    assert res["narrow_width"] == 0.0
+    assert res["degenerate"] is True
 
 
 def test_collar_scan(capsys):
@@ -94,6 +106,21 @@ def test_winding_cusp_far_out(capsys):
     length = json.loads(out)["results"]["arc_length"]
     expected = 2 * math.asinh(2e155)
     assert abs(length - expected) <= 1e-15 * expected
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["winding", "--collar", "--w", "0", "--core", "1", "--width", "1"], "W must be finite and > 0, got 0.0"),
+        (["winding", "--cusp", "--w", "1e308"], "cusp arc length overflows at W=1e+308"),
+    ],
+)
+def test_winding_refusal_names_the_argument(capsys, argv, message):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == f"hypcross winding: error: {message}\n"
 
 
 def test_winding_mode_required(capsys):
@@ -392,6 +419,36 @@ def test_import_loads_no_dataclasses_inspect_or_numpy():
     assert "hypcross.spectrum" in added
     forbidden = {"dataclasses", "inspect", "numpy", "hypcross.verifier", "concurrent.futures", "hypcross.tracer"}
     assert not forbidden & set(added), added
+
+
+WINDING_AND_COLLAR_IMPORTS = """
+import sys
+from hypcross.cli import main
+code = main(ARGV)
+sys.stderr.write(" ".join(sorted(m for m in ("dataclasses", "inspect", "numpy") if m in sys.modules)))
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, forbidden",
+    [
+        (["winding", "--cusp", "--w", "1"], {"dataclasses", "inspect", "numpy"}),
+        (["collar", "--length", "1.3", "--scan"], {"dataclasses"}),
+    ],
+    ids=["winding", "collar"],
+)
+def test_winding_and_collar_load_no_dataclasses(argv, forbidden):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", WINDING_AND_COLLAR_IMPORTS.replace("ARGV", repr(argv))],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert not forbidden & set(proc.stderr.split()), proc.stderr
 
 
 def test_spectrum_command_loads_no_tracer():

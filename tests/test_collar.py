@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from hypcross.collar import (
-    CollarProfile,
+    CUSP_HOROCYCLE_LENGTH,
     NonPositiveLength,
     collar_width,
-    cusp_horocycle_bound,
     generalized_width,
     hexagon_gap,
     wide_width,
@@ -49,16 +48,13 @@ def test_generalized_width_at_threshold():
 def test_generalized_width_degenerates_for_long_cores():
     w1, narrow = generalized_width(10.0)
     assert narrow < 0.0
-    profile = CollarProfile.from_core_length(10.0)
-    assert profile.w_narrow == 0.0
-    assert profile.degenerate
 
 
 def test_profile_short_core():
-    p = CollarProfile.from_core_length(1.0)
-    assert p.w1 > p.w > p.w_narrow > 0.0
-    assert not p.degenerate
-    assert abs(p.w_narrow - (2 * p.w - p.w1)) < 1e-15
+    w = collar_width(1.0)
+    w1, narrow = generalized_width(1.0)
+    assert w1 > w > narrow > 0.0
+    assert abs(narrow - (2 * w - w1)) < 1e-15
 
 
 def test_hexagon_gap_closed_form():
@@ -85,8 +81,7 @@ def test_domain_errors():
 
 
 def test_cusp_horocycle_bound():
-    assert cusp_horocycle_bound() == 4.0
-    assert cusp_horocycle_bound() == 4.0  # deterministic and pure
+    assert CUSP_HOROCYCLE_LENGTH == 4.0
 
 
 def test_width_scan():

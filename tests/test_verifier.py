@@ -25,7 +25,7 @@ from hypcross.verifier import (
     verify_case1_chain,
     verify_concavity_chain,
 )
-from hypcross.winding import CollarArcQuery, collar_arc_length
+from hypcross.winding import collar_arc_length
 
 
 def test_constants_table():
@@ -98,7 +98,7 @@ def test_bound_minimum_deterministic():
 def test_half_collar_arc_consistent_with_winding_module():
     for t in (0.2, 0.53, 0.881373587019543):
         lhs = 2 * half_collar_arc(1.0, t)
-        rhs = collar_arc_length(CollarArcQuery(1.0, 2 * t, wide_width(2 * t)))
+        rhs = collar_arc_length(1.0, 2 * t, wide_width(2 * t))
         assert abs(lhs - rhs) < 1e-12
 
 

@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from hypcross.winding import (
     MAX_ARC_LENGTH,
-    CollarArcQuery,
-    CuspArcQuery,
     collar_arc_length,
     cusp_arc_length,
     cusp_winding_from_length,
@@ -20,21 +18,20 @@ from hypcross.winding import (
 
 def test_collar_arc_hugs_core_at_zero_width():
     # cosh 0 = 1: the arc length approaches W * core
-    q = CollarArcQuery(3.0, 0.7, 1e-9)
-    assert abs(collar_arc_length(q) - 3.0 * 0.7) < 1e-8
+    assert abs(collar_arc_length(3.0, 0.7, 1e-9) - 3.0 * 0.7) < 1e-8
 
 
 def test_collar_arc_double_angle_value():
     # sinh(2t) = 2 sinh t cosh t = 2 sqrt 2 at sinh t = 1; cosh(asinh 1) = sqrt 2
-    q = CollarArcQuery(2.0, 2 * math.asinh(1.0), math.asinh(1.0))
-    assert abs(collar_arc_length(q) - 2 * math.asinh(4.0)) < 1e-12
+    length = collar_arc_length(2.0, 2 * math.asinh(1.0), math.asinh(1.0))
+    assert abs(length - 2 * math.asinh(4.0)) < 1e-12
 
 
 def test_collar_arc_monotone():
-    base = collar_arc_length(CollarArcQuery(1.0, 1.0, 1.0))
-    assert collar_arc_length(CollarArcQuery(1.2, 1.0, 1.0)) > base
-    assert collar_arc_length(CollarArcQuery(1.0, 1.2, 1.0)) > base
-    assert collar_arc_length(CollarArcQuery(1.0, 1.0, 1.2)) > base
+    base = collar_arc_length(1.0, 1.0, 1.0)
+    assert collar_arc_length(1.2, 1.0, 1.0) > base
+    assert collar_arc_length(1.0, 1.2, 1.0) > base
+    assert collar_arc_length(1.0, 1.0, 1.2) > base
 
 
 def test_collar_arc_strictly_increasing_on_grids():
@@ -42,46 +39,46 @@ def test_collar_arc_strictly_increasing_on_grids():
     for axis in range(3):
         args = np.full((len(grid), 3), 0.8)
         args[:, axis] = grid
-        vals = [collar_arc_length(CollarArcQuery(*row)) for row in args]
+        vals = [collar_arc_length(*row) for row in args]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
 def test_cusp_arc_values():
-    assert abs(cusp_arc_length(CuspArcQuery(1.0)) - math.acosh(9.0)) < 1e-12
-    assert abs(cusp_arc_length(CuspArcQuery(1.0)) - 2 * math.log(2 + math.sqrt(5))) < 1e-12
-    assert abs(cusp_arc_length(CuspArcQuery(0.5)) - 2 * math.log(1 + math.sqrt(2))) < 1e-12
+    assert abs(cusp_arc_length(1.0) - math.acosh(9.0)) < 1e-12
+    assert abs(cusp_arc_length(1.0) - 2 * math.log(2 + math.sqrt(5))) < 1e-12
+    assert abs(cusp_arc_length(0.5) - 2 * math.log(1 + math.sqrt(2))) < 1e-12
 
 
 def test_cusp_arc_vanishes():
-    assert cusp_arc_length(CuspArcQuery(1e-12)) < 1e-10
+    assert cusp_arc_length(1e-12) < 1e-10
 
 
 def test_cusp_arc_asinh_identity():
     for W in (0.1, 0.7, 1.0, 3.0, 12.0):
-        assert abs(cusp_arc_length(CuspArcQuery(W)) - 2 * math.asinh(2 * W)) < 1e-12
+        assert abs(cusp_arc_length(W) - 2 * math.asinh(2 * W)) < 1e-12
 
 
 @pytest.mark.parametrize("W", [1e154, 1e200, 1e300, 4e307])
 def test_cusp_arc_far_out(W):
     # 4W^2 overflows past W about 6.7e153; the length stays finite while 4W does
     expected = 2 * math.asinh(2 * W)
-    assert abs(cusp_arc_length(CuspArcQuery(W)) - expected) <= 1e-15 * expected
+    assert abs(cusp_arc_length(W) - expected) <= 1e-15 * expected
 
 
 def test_overflow_is_refused_loudly():
     # the length passes MAX_ARC_LENGTH: the closed forms do not return inf,
     # and the oracle, whose corner height underflows, does not divide by 0
     with pytest.raises(OverflowError, match="710.4"):
-        collar_arc_length(CollarArcQuery(800.0, 1.0, 710.4))
+        collar_arc_length(800.0, 1.0, 710.4)
     with pytest.raises(OverflowError, match="710.4"):
         saccheri_top_length(800.0, 1.0, 710.4)
     with pytest.raises(OverflowError, match="1e\\+308"):
-        cusp_arc_length(CuspArcQuery(1e308))
+        cusp_arc_length(1e308)
 
 
 def test_collar_roundtrip():
     W, core, width = 1.7, 1.0, 0.5
-    length = collar_arc_length(CollarArcQuery(W, core, width))
+    length = collar_arc_length(W, core, width)
     assert abs(winding_from_length(length, core, width) - W) < 1e-10
 
 
@@ -90,7 +87,7 @@ def test_winding_never_negative():
 
 
 def test_cusp_roundtrip():
-    length = cusp_arc_length(CuspArcQuery(3.0))
+    length = cusp_arc_length(3.0)
     assert abs(cusp_winding_from_length(length) - 3.0) < 1e-10
 
 
@@ -101,7 +98,7 @@ def test_cusp_roundtrip():
     st.floats(min_value=0.05, max_value=3.0),
 )
 def test_saccheri_quadrilateral_oracle(W, core, width):
-    got = collar_arc_length(CollarArcQuery(W, core, width))
+    got = collar_arc_length(W, core, width)
     oracle = saccheri_top_length(W, core, width)
     assert abs(got - oracle) < 1e-9
 
@@ -111,7 +108,7 @@ def test_saccheri_oracle_on_wide_collars(width):
     # both top corners sit near height e^-width: the product of their heights
     # is subnormal at 372 and 0 from 373 on, and the oracle still meets the
     # closed form exactly
-    assert saccheri_top_length(1.0, 1.0, width) == collar_arc_length(CollarArcQuery(1.0, 1.0, width))
+    assert saccheri_top_length(1.0, 1.0, width) == collar_arc_length(1.0, 1.0, width)
 
 
 @pytest.mark.parametrize(
@@ -122,7 +119,7 @@ def test_saccheri_oracle_on_wide_collars(width):
 def test_saccheri_oracle_on_short_and_long_arcs(W, core, width):
     # arcs far shorter and far longer than the suite's samples: W*core from
     # 1e-300, where the feet nearly coincide, up to 1400
-    got = collar_arc_length(CollarArcQuery(W, core, width))
+    got = collar_arc_length(W, core, width)
     assert abs(saccheri_top_length(W, core, width) - got) <= 1e-12 * got
 
 
@@ -139,12 +136,12 @@ def test_cusp_oracle_grid_and_small_regime():
 
 
 def test_query_validation():
-    with pytest.raises(ValueError):
-        CollarArcQuery(0.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        CollarArcQuery(1.0, -1.0, 1.0)
-    with pytest.raises(ValueError):
-        CuspArcQuery(0.0)
+    with pytest.raises(ValueError, match="^W must be finite and > 0, got 0.0$"):
+        collar_arc_length(0.0, 1.0, 1.0)
+    with pytest.raises(ValueError, match="^core_length must be finite and > 0, got -1.0$"):
+        collar_arc_length(1.0, -1.0, 1.0)
+    with pytest.raises(ValueError, match="^W must be finite and > 0, got 0.0$"):
+        cusp_arc_length(0.0)
     # each inverse outside its domain; winding_from_length used to raise
     # ZeroDivisionError at core 0, return -0.66 at core -1 and 0.0 at width
     # inf, and both used to return nan for nan
@@ -176,3 +173,30 @@ def test_inverses_at_their_domain_ends():
     assert math.isfinite(winding_from_length(MAX_ARC_LENGTH, 1.0, 0.5 * MAX_ARC_LENGTH))
     assert math.isfinite(winding_from_length(MAX_ARC_LENGTH, 1.0, 1.0))
     assert math.isfinite(cusp_winding_from_length(MAX_ARC_LENGTH))
+
+
+_REFUSED = [(-1.0, 1.0, 1.0), (1.0, 1.0, -1.0), (0.0, 1.0, 1.0), (1.0, 0.0, 1.0)] + [
+    args for bad in (math.nan, math.inf) for args in [(bad, 1.0, 1.0), (1.0, bad, 1.0), (1.0, 1.0, bad)]
+]
+
+
+@pytest.mark.parametrize("args", _REFUSED)
+def test_collar_oracle_refuses_what_the_closed_form_refuses(args):
+    # the oracle used to return 1.4717 at W -1 or width -1 and 0.0 at W 0,
+    # and to raise OverflowError at a nan
+    with pytest.raises(ValueError) as closed:
+        collar_arc_length(*args)
+    with pytest.raises(ValueError) as oracle:
+        saccheri_top_length(*args)
+    assert str(oracle.value) == str(closed.value)
+
+
+@pytest.mark.parametrize("W, error", [(0.0, ValueError), (-1.0, ValueError), (math.nan, ValueError), (math.inf, ValueError), (9e307, OverflowError)])
+def test_cusp_oracle_refuses_what_the_closed_form_refuses(W, error):
+    # nan, inf and 9e307 used to reach Point, which refused them with its own
+    # message; 2W overflows at 9e307
+    with pytest.raises(error) as closed:
+        cusp_arc_length(W)
+    with pytest.raises(error) as oracle:
+        verify_cusp_lemma_geometrically(W)
+    assert str(oracle.value) == str(closed.value)
