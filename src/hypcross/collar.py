@@ -2,7 +2,8 @@
 widths, the hexagon gap identity, and the embedded cusp-neighborhood constant.
 
 Only widths and gap values are computed here; the embeddedness statements they
-come from enter the test suite as inequality checks over grids.
+come from enter the test suite as inequality checks over grids.  A core
+length that is not finite and > 0 raises winding's ValueError, by name.
 """
 
 from __future__ import annotations
@@ -11,25 +12,23 @@ import math
 
 import numpy as np
 
-
-class NonPositiveLength(ValueError):
-    """Core length of a collar must be strictly positive."""
-
-
-def _check_positive(x: float) -> None:
-    if not x > 0.0:
-        raise NonPositiveLength(f"core length must be > 0, got {x}")
+from .winding import _check_positive
 
 
 def collar_width(x: float) -> float:
-    """Symmetric collar half-width asinh(1/sinh(x/2)); strictly decreasing."""
-    _check_positive(x)
-    return math.asinh(1.0 / math.sinh(0.5 * x))
+    """Symmetric collar half-width asinh(1/sinh(x/2)); strictly decreasing.
+    Where sinh(x/2) overflows (x past about 1421), an OverflowError names
+    core_length."""
+    _check_positive(core_length=x)
+    try:
+        return math.asinh(1.0 / math.sinh(0.5 * x))
+    except OverflowError:
+        raise OverflowError(f"sinh(core_length/2) overflows at core_length={x!r}") from None
 
 
 def wide_width(x: float) -> float:
     """Half-width asinh(1/sinh(x/4)) of the wide side of the asymmetric collar."""
-    _check_positive(x)
+    _check_positive(core_length=x)
     return math.asinh(1.0 / math.sinh(0.25 * x))
 
 
@@ -49,7 +48,7 @@ def hexagon_gap(x: float) -> float:
     and the far side of the right-angled hexagon pair bounding the pants around
     a core of length x.  Equals 2*wide_width(x) exactly (asinh(1/sinh t) =
     log coth(t/2))."""
-    _check_positive(x)
+    _check_positive(core_length=x)
     return 2.0 * math.log1p(2.0 / math.expm1(0.25 * x))
 
 

@@ -62,18 +62,18 @@ def chebyshev_ratio(m: int, l: float) -> float:
 def gamma_mn_length(P: PantsBoundary, C: CurveClass) -> float:
     """Length of the curve winding m times around boundary 1 and n times
     around boundary 2: 2*acosh of the sinh-ratio/cosh combination of the
-    half-length hyperbolic functions.  The acosh argument is always >= 2mn+1."""
-    rhs = _length_rhs(P.l1, P.l2, P.l3, C.m, C.n)
-    return 2.0 * math.acosh(rhs)
-
-
-def _length_rhs(l1: float, l2: float, l3: float, m: int, n: int) -> float:
-    r1 = chebyshev_ratio(m, l1)
-    r2 = chebyshev_ratio(n, l2)
-    c1 = math.cosh(0.5 * l1)
-    c2 = math.cosh(0.5 * l2)
-    c3 = math.cosh(0.5 * l3)
-    return r1 * r2 * (c3 + c1 * c2) + math.cosh(0.5 * m * l1) * math.cosh(0.5 * n * l2)
+    half-length hyperbolic functions, whose argument is always >= 2mn+1.
+    Where that overflows, an OverflowError names l1, l2, l3, m and n."""
+    l1, l2, l3, m, n = P.l1, P.l2, P.l3, C.m, C.n
+    try:
+        r1, r2 = chebyshev_ratio(m, l1), chebyshev_ratio(n, l2)
+        c1, c2, c3 = math.cosh(0.5 * l1), math.cosh(0.5 * l2), math.cosh(0.5 * l3)
+        length = 2.0 * math.acosh(r1 * r2 * (c3 + c1 * c2) + math.cosh(0.5 * m * l1) * math.cosh(0.5 * n * l2))
+    except OverflowError:
+        length = math.inf
+    if length == math.inf:
+        raise OverflowError(f"curve length overflows at l1={l1!r}, l2={l2!r}, l3={l3!r}, m={m}, n={n}")
+    return length
 
 
 # ------------------------------------------------ Fricke trace polynomials

@@ -139,11 +139,12 @@ def length_bound(T: float) -> float:
     return math.log(T / (T - 2.0)) + 2.0 * math.log(T + math.sqrt(T * T + 1.0))
 
 
-def length_bound_deriv(T: float) -> float:
-    """2/sqrt(T^2+1) - 2/(T(T-2)), the derivative of length_bound."""
-    if T <= 2.0:
+def length_bound_deriv(T):
+    """2/sqrt(T^2+1) - 2/(T(T-2)), the derivative of length_bound: a numpy
+    float for a scalar T, an array for an array; DomainError unless all T > 2."""
+    if np.min(T) <= 2.0:
         raise DomainError(f"bound requires T > 2, got {T}")
-    return 2.0 / math.sqrt(T * T + 1.0) - 2.0 / (T * (T - 2.0))
+    return 2.0 / np.sqrt(T * T + 1.0) - 2.0 / (T * (T - 2.0))
 
 
 @dataclass(frozen=True)
@@ -178,10 +179,8 @@ def find_bound_minimum() -> RootBracket:
     residual = abs(length_bound_deriv(root))
     if residual > 1e-12:
         raise BracketFailure(f"bisection stalled with residual {residual}")
-    left = np.linspace(2.0 + 1e-9, root - 1e-9, 2000)
-    right = np.geomspace(root + 1e-9, 1e6, 2000)
-    dleft = 2.0 / np.sqrt(left**2 + 1.0) - 2.0 / (left * (left - 2.0))
-    dright = 2.0 / np.sqrt(right**2 + 1.0) - 2.0 / (right * (right - 2.0))
+    dleft = length_bound_deriv(np.linspace(2.0 + 1e-9, root - 1e-9, 2000))
+    dright = length_bound_deriv(np.geomspace(root + 1e-9, 1e6, 2000))
     if not (np.all(dleft < 0.0) and np.all(dright > 0.0)):
         raise ChainViolation("derivative sign pattern around the root failed")
     return RootBracket(lo, hi, root, residual)
@@ -231,22 +230,20 @@ def _workers() -> int:
     return os.cpu_count() or 1
 
 
-def _extremum(best, x, r0, ts, largest):
-    """The running (value, row, t) best after the block x, whose first row
-    is grid row r0: x's largest cell (smallest, with largest False) replaces
-    best only when strictly beyond it, so best holds the first extremum in
-    row-major order.  A non-finite cell fails the check: best becomes
-    (inf, row, t) (-inf for the smallest) at the first one, which no later
-    cell goes beyond.  x is finite exactly when its largest and smallest
-    cells are, and argmax (argmin) already finds one of them, a NaN first."""
-    far = math.inf if largest else -math.inf
-    if best[0] == far:
+def _least(best, x, r0, ts):
+    """The running (value, row, t) least after the block x, whose first row
+    is grid row r0: x's smallest cell replaces best only when strictly below
+    it, so best holds the first minimum in row-major order.  A non-finite
+    cell fails the check: best becomes (-inf, row, t) at the first one,
+    which no later cell goes below.  x is finite exactly when its smallest
+    and largest cells are, and argmin already finds one of them, a NaN first."""
+    if best[0] == -math.inf:
         return best
-    i = int(np.argmax(x) if largest else np.argmin(x))
+    i = int(np.argmin(x))
     v = float(x.flat[i])
-    if not (math.isfinite(v) and math.isfinite(np.min(x) if largest else np.max(x))):
-        i, v = int(np.argmin(np.isfinite(x))), far
-    elif not (v > best[0] if largest else v < best[0]):
+    if not (math.isfinite(v) and math.isfinite(np.max(x))):
+        i, v = int(np.argmin(np.isfinite(x))), -math.inf
+    elif not v < best[0]:
         return best
     r, c = divmod(i, x.shape[1])
     return (v, r0 + r, float(ts[c]))
@@ -256,12 +253,12 @@ def _concavity_slice(alphas, ts, coshw1, ref):
     """Checks (a) and (b) on the column slice ts of every alpha row,
     _ROW_BLOCK rows per numpy call into three buffers of its own.
 
-    Returns, as (value, row, t) (see _extremum), the largest second
-    difference and the smallest increment gap (rows with alpha <= 1 only),
-    and the smallest drop in increments from one row to the next.
-    """
+    Returns, as (value, row, t) (see _least), the least negated second
+    difference 2 arc(alpha) - arc(alpha + h) - arc(alpha - h), the least
+    increment gap (rows with alpha <= 1 only), and the least drop in
+    increments from one row to the next."""
     f0, second, incr = (np.empty((_ROW_BLOCK + extra, len(ts))) for extra in (0, 0, 1))
-    best_second, best_gap, best_drop = (-math.inf, 0, None), (math.inf, 0, None), (math.inf, 0, None)
+    best_second = best_gap = best_drop = (math.inf, 0, None)
     for r0 in range(0, len(alphas), len(f0)):
         a = alphas[r0 : r0 + len(f0), None]
         nb = len(a)
@@ -270,19 +267,19 @@ def _concavity_slice(alphas, ts, coshw1, ref):
         np.multiply(_arc(a, ts, coshw1, f), 2.0, out=f)
         # arc(alpha - h) borrows incr's rows before arc(alpha + 1) fills them
         np.add(_arc(a + h, ts, coshw1, s), _arc(a - h, ts, coshw1, new), out=s)
-        np.subtract(s, f, out=s)
-        best_second = _extremum(best_second, s, r0, ts, True)
+        np.subtract(f, s, out=s)
+        best_second = _least(best_second, s, r0, ts)
 
         np.multiply(_arc(a + 1.0, ts, coshw1, new), 2.0, out=new)
         np.subtract(new, f, out=new)
         k = int(np.count_nonzero(a <= 1.0))  # alphas ascend: a prefix of the block
         if k:
             gap = np.subtract(new[:k], ref, out=s[:k])
-            best_gap = _extremum(best_gap, gap, r0, ts, False)
+            best_gap = _least(best_gap, gap, r0, ts)
         first = 1 if r0 == 0 else 0  # row 0 has no row before it
         if first < nb:
             drop = np.subtract(incr[first:nb], incr[1 + first : nb + 1], out=f[first:])
-            best_drop = _extremum(best_drop, drop, r0 + first, ts, False)
+            best_drop = _least(best_drop, drop, r0 + first, ts)
         incr[0] = incr[nb]
     return best_second, best_gap, best_drop
 
@@ -302,11 +299,12 @@ def verify_concavity_chain(t_grid: int = 10_000) -> SuiteReport:
     column slices of t (np.array_split), one per usable CPU (_workers()),
     each walked on a concurrent.futures thread pool of that size through
     every alpha row, 8 rows per numpy call into three buffers of its own.
-    Each slice keeps one running extremum of each check, replaced only when
-    strictly better, so it holds the slice's first extremum in row-major
-    order.  The slices' extrema are merged on (value, row), a tie going to
-    the leftmost slice.  So each margin and each witness, the first extremum
-    of the grid in row-major order, do not depend on the number of slices.
+    Each check's margin is 1e-12 plus a least value (check (a) negates the
+    second difference).  Each slice keeps one running minimum of each check,
+    replaced only when strictly below, so it holds the slice's first minimum
+    in row-major order.  The slices' minima are merged on (value, row), a tie
+    going to the leftmost slice.  So each margin and each witness, the first
+    minimum of the grid in row-major order, do not depend on the slices.
 
     A non-finite cell fails its check: the margin is 0.0, the witness is the
     first such cell in row-major order, and a note names it.
@@ -328,22 +326,15 @@ def verify_concavity_chain(t_grid: int = 10_000) -> SuiteReport:
     with ThreadPoolExecutor(n) as pool:
         outs = list(pool.map(_concavity_slice, [alphas] * n, *(np.array_split(x, n) for x in (ts, coshw1, ref))))
 
-    # of equal keys max and min return the first: the earlier row, then the
-    # leftmost slice
-    # (id, merged extremum, sign of the value in the margin 1e-12 + sign *
-    # value, whether a pass names its point)
-    checks = [
-        ("arc-concave-in-winding", max((out[0] for out in outs), key=lambda b: (b[0], -b[1])), -1.0, True),
-        ("unit-increment-dominates-below-1", min((out[1] for out in outs), key=lambda b: b[:2]), 1.0, True),
-        ("increments-nonincreasing-in-winding", min((out[2] for out in outs), key=lambda b: b[:2]), 1.0, False),
-    ]
-    for cid, (value, row, t), sign, witness in checks:
+    # of equal keys min returns the first: the earlier row, then the leftmost slice
+    for k, cid in enumerate(("arc-concave-in-winding", "unit-increment-dominates-below-1", "increments-nonincreasing-in-winding")):
+        value, row, t = min((out[k] for out in outs), key=lambda b: b[:2])
         pt = {"alpha": float(alphas[row]), "t": t}
         if math.isinf(value):  # a non-finite cell: no headroom to measure
             rep.add(cid, 0.0, pt)
             rep.notes.append(f"{cid}: non-finite value at alpha={pt['alpha']!r}, t={t!r}")
         else:
-            rep.add(cid, 1e-12 + sign * value, pt if witness else None)
+            rep.add(cid, 1e-12 + value, pt if k < 2 else None)  # a pass of (c) names no point
 
     us = 2.0 * np.cosh(0.5 * np.geomspace(1e-4, 5.0, t_grid)) ** 2
     g = 2.0 * np.arcsinh(2.0 * us) - 2.0 * np.arcsinh(us)

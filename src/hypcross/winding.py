@@ -4,8 +4,8 @@ The dictionary runs both ways (winding number <-> arc length), and each closed
 form has an independent geometric oracle: an explicit Saccheri quadrilateral
 built in the half-plane for collar arcs, and the point-pair distance on the
 height-one horocycle for cusp arcs, one winding number per call.  Arguments
-are plain floats, and each oracle refuses what its closed form refuses.  The
-module needs neither numpy nor dataclasses.
+are plain floats; each oracle refuses what its closed form refuses, a length
+past MAX_ARC_LENGTH with the same OverflowError.  No numpy, no dataclasses.
 """
 
 from __future__ import annotations
@@ -23,23 +23,32 @@ def _check_positive(**args: float) -> None:
             raise ValueError(f"{name} must be finite and > 0, got {v}")
 
 
+MAX_ARC_LENGTH = 2.0 * math.asinh(sys.float_info.max)  # about 1421: the l with sinh(l/2) finite; cosh(w) is finite for w up to half of it
+_COLLAR_OVERFLOW = "collar arc length overflows at W={!r}, core_length={!r}, width={!r}"
+
+
 def collar_arc_length(W: float, core_length: float, width: float) -> float:
     """2*asinh(sinh(W*core/2) * cosh(width)) for an arc winding W times
-    through a collar, endpoints at distance width from the core; increasing
-    in every argument.  Past MAX_ARC_LENGTH, an OverflowError: math's own
-    where sinh or cosh alone overflows, else one naming the arguments."""
+    through a collar, endpoints at distance width from the core; increasing in
+    every argument.  In log space where sinh or cosh overflows, it answers up
+    to MAX_ARC_LENGTH; past it, an OverflowError names its three arguments."""
     _check_positive(W=W, core_length=core_length, width=width)
-    length = 2.0 * math.asinh(math.sinh(0.5 * W * core_length) * math.cosh(width))
-    if length == math.inf:
-        raise OverflowError(f"collar arc length overflows at W={W!r}, core_length={core_length!r}, width={width!r}")
+    s = 0.5 * W * core_length
+    try:
+        length = 2.0 * math.asinh(math.sinh(s) * math.cosh(width))
+    except OverflowError:  # log y, y = sinh(s)*cosh(width); asinh(y) = log(2y) to the last bit past y = 1e154
+        log_sinh = s + math.log(-0.5 * math.expm1(-2.0 * s)) if s > 1e-8 else math.log(W) + math.log(core_length) - math.log(2.0)
+        log_y = log_sinh + width + math.log1p(math.exp(-2.0 * width)) - math.log(2.0)
+        length = 2.0 * (log_y + math.log(2.0)) if log_y > 354.6 else 2.0 * math.asinh(math.exp(log_y))
+    if not length <= MAX_ARC_LENGTH:
+        raise OverflowError(_COLLAR_OVERFLOW.format(W, core_length, width))
     return length
 
 
 def cusp_arc_length(W: float) -> float:
     """2*log(2W + sqrt(4W^2 + 1)), the length of an arc of winding W whose
-    endpoints sit on the length-4 boundary horocycle.  hypot keeps the root
-    finite wherever 2W is, so the length is finite while 4W is (W up to
-    about 4.49e307); past that, an OverflowError names W."""
+    endpoints sit on the length-4 boundary horocycle.  hypot keeps it finite
+    while 4W is (W up to about 4.49e307); past that, an OverflowError names W."""
     _check_positive(W=W)
     w2 = 2.0 * W
     length = 2.0 * math.log(w2 + math.hypot(w2, 1.0))
@@ -48,15 +57,12 @@ def cusp_arc_length(W: float) -> float:
     return length
 
 
-MAX_ARC_LENGTH = 2.0 * math.asinh(sys.float_info.max)  # about 1421: the l with sinh(l/2) finite; cosh(w) is finite for w up to half of it
-
-
 def winding_from_length(l: float, core_length: float, width: float) -> float:
     """Exact inverse of collar_arc_length in W.
 
     Domain: 0 < l <= MAX_ARC_LENGTH, core_length finite and > 0, and
-    0 < width <= MAX_ARC_LENGTH / 2, where cosh(width) is finite (the widths
-    collar_arc_length accepts).  Outside it, a ValueError."""
+    0 < width <= MAX_ARC_LENGTH / 2, where cosh(width) is finite.  Outside
+    it, a ValueError."""
     if not 0.0 < l <= MAX_ARC_LENGTH:
         raise ValueError(f"arc length must be > 0 and <= {MAX_ARC_LENGTH}, got {l}")
     _check_positive(core_length=core_length)
@@ -86,27 +92,27 @@ def saccheri_top_length(W: float, core_length: float, width: float) -> float:
     and Y = y/D.  Measure the top side between them with complex_dist.  The
     corners are mirror images, so their difference 2X keeps every digit
     however small s is; halving sinh(s) first keeps X finite wherever
-    sinh(s) is (past that, math.sinh raises OverflowError).  Where Y
-    underflows to 0 or the length overflows, the closed form overflows too,
-    and an OverflowError names the inputs; what collar_arc_length refuses
-    raises its ValueError.
-    """
+    sinh(s) is.  It raises collar_arc_length's ValueError and, past
+    MAX_ARC_LENGTH, its OverflowError; that OverflowError also where Y, a
+    subnormal below 2^-1042, keeps under 32 bits (widths past about 722)."""
     _check_positive(W=W, core_length=core_length, width=width)
     s = 0.5 * W * core_length
     y = math.exp(-width)
-    c, h = math.cosh(0.5 * s), math.sinh(0.5 * s)
-    D = c * c + h * h * y * y
-    X = 0.5 * math.sinh(s) * (1.0 + y * y) / D
-    Y = y / D
-    length = complex_dist(complex(X, Y), complex(-X, Y)) if Y > 0.0 else math.inf
-    if length == math.inf:
-        raise OverflowError(f"quadrilateral top side overflows at W={W!r}, core_length={core_length!r}, width={width!r}")
+    try:
+        c, h = math.cosh(0.5 * s), math.sinh(0.5 * s)
+        D = c * c + h * h * y * y
+        X = 0.5 * math.sinh(s) * (1.0 + y * y) / D
+        Y = y / D
+        length = complex_dist(complex(X, Y), complex(-X, Y)) if Y >= 2.0**-1042 else math.inf
+    except OverflowError:
+        length = math.inf
+    if not length <= MAX_ARC_LENGTH:
+        raise OverflowError(_COLLAR_OVERFLOW.format(W, core_length, width))
     return length
 
 
 def verify_cusp_lemma_geometrically(W: float) -> float:
-    """Deviation (float noise) between cusp_arc_length at winding W, which
-    goes first and so sets the domain, and the half-plane distance of the
-    endpoint pair (-2W, 1), (2W, 1)."""
+    """Deviation (float noise) between cusp_arc_length(W), which goes first
+    and so sets the domain, and the half-plane distance of (-2W, 1), (2W, 1)."""
     length = cusp_arc_length(W)
     return abs(dist(Point(-2.0 * W, 1.0), Point(2.0 * W, 1.0)) - length)

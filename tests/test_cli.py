@@ -113,6 +113,9 @@ def test_winding_cusp_far_out(capsys):
     [
         (["winding", "--collar", "--w", "0", "--core", "1", "--width", "1"], "W must be finite and > 0, got 0.0"),
         (["winding", "--cusp", "--w", "1e308"], "cusp arc length overflows at W=1e+308"),
+        # the arc is finite but its inverse's cosh(width) is not; an arc past MAX_ARC_LENGTH
+        (["winding", "--collar", "--w", "1", "--core", "1", "--width", "711"], "width must be > 0 and <= 710.4758600739439, got 711.0"),
+        (["winding", "--collar", "--w", "2000", "--core", "1", "--width", "1"], "collar arc length overflows at W=2000.0, core_length=1.0, width=1.0"),
     ],
 )
 def test_winding_refusal_names_the_argument(capsys, argv, message):
@@ -121,6 +124,24 @@ def test_winding_refusal_names_the_argument(capsys, argv, message):
     assert code == 2
     assert out == ""
     assert err == f"hypcross winding: error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["collar", "--length", "inf"], "core_length must be finite and > 0, got inf"),
+        (["collar", "--length", "1500"], "sinh(core_length/2) overflows at core_length=1500.0"),
+        (["pants-length", "--l1", "2000", "--l2", "1", "--l3", "1", "--m", "1", "--n", "2"], "curve length overflows at l1=2000.0, l2=1.0, l3=1.0, m=1, n=2"),
+        # cosh * cosh overflows to inf without a raise
+        (["pants-length", "--l1", "1419", "--l2", "1", "--l3", "1", "--m", "1", "--n", "2"], "curve length overflows at l1=1419.0, l2=1.0, l3=1.0, m=1, n=2"),
+    ],
+)
+def test_collar_and_pants_refusals_name_the_argument(capsys, argv, message):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == f"hypcross {argv[0]}: error: {message}\n"
 
 
 def test_winding_mode_required(capsys):

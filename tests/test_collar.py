@@ -5,7 +5,6 @@ import pytest
 
 from hypcross.collar import (
     CUSP_HOROCYCLE_LENGTH,
-    NonPositiveLength,
     collar_width,
     generalized_width,
     hexagon_gap,
@@ -73,11 +72,11 @@ def test_hexagon_gap_vanishes_at_infinity():
 
 
 def test_domain_errors():
+    # winding's argument rule, which refuses inf and nan as well
     for fn in (collar_width, wide_width, hexagon_gap, generalized_width):
-        with pytest.raises(NonPositiveLength):
-            fn(0.0)
-        with pytest.raises(NonPositiveLength):
-            fn(-1.0)
+        for x in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="^core_length must be finite and > 0, got "):
+                fn(x)
 
 
 def test_cusp_horocycle_bound():

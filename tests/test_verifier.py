@@ -74,6 +74,15 @@ def test_deriv_matches_finite_difference(T):
     assert abs(length_bound_deriv(T) - fd) < 1e-6
 
 
+def test_deriv_on_an_array_matches_the_scalars():
+    T = np.geomspace(2.0 + 1e-9, 1e6, 2001)
+    d = length_bound_deriv(T)
+    assert d.shape == T.shape
+    assert d.tobytes() == np.array([length_bound_deriv(float(x)) for x in T]).tobytes()
+    with pytest.raises(DomainError):
+        length_bound_deriv(np.array([3.0, 2.0, 4.0]))
+
+
 def test_bound_minimum_bracket():
     br = find_bound_minimum()
     assert 3.0 < br.root < 25.0 / 8.0

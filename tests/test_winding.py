@@ -76,6 +76,33 @@ def test_overflow_is_refused_loudly():
         cusp_arc_length(1e308)
 
 
+def test_collar_arc_where_cosh_overflows():
+    # cosh(width) overflows, and the closed form answers in log space: each
+    # length against a 50-digit evaluation; a tiny W*core keeps the length
+    # under MAX_ARC_LENGTH far past width 711
+    assert abs(collar_arc_length(1.0, 1.0, 711.0) - 1420.69635534810595) < 1e-9
+    assert abs(collar_arc_length(1e-300, 1.0, 1000.0) - 617.0626498424527) < 1e-9
+    assert abs(collar_arc_length(1e-10, 1e-7, 740.0) - 1400.3258124770826) < 1e-9
+    # W*core/2 underflows to 0 here; the length does not
+    assert abs(collar_arc_length(5e-324, 1.0, 745.0) - 0.8494986030894956) < 1e-12
+    # there the oracle's corner height is a subnormal with under 32 bits,
+    # which would put it 5e-3 short at width 740: it refuses
+    for args in ((1e-10, 1e-7, 740.0), (1e-300, 1.0, 1000.0)):
+        with pytest.raises(OverflowError, match="^collar arc length overflows at W="):
+            saccheri_top_length(*args)
+
+
+@pytest.mark.parametrize("args", [(2000.0, 1.0, 1.0), (800.0, 1.0, 710.4), (1.0, 1.0, 1e4), (1e300, 1e300, 1.0)])
+def test_collar_overflow_is_one_error(args):
+    # past MAX_ARC_LENGTH the closed form and the oracle raise the same
+    # OverflowError, which names the arguments
+    with pytest.raises(OverflowError, match="^collar arc length overflows at W=") as closed:
+        collar_arc_length(*args)
+    with pytest.raises(OverflowError) as oracle:
+        saccheri_top_length(*args)
+    assert str(oracle.value) == str(closed.value)
+
+
 def test_collar_roundtrip():
     W, core, width = 1.7, 1.0, 0.5
     length = collar_arc_length(W, core, width)
@@ -114,7 +141,7 @@ def test_saccheri_oracle_on_wide_collars(width):
 @pytest.mark.parametrize(
     "W, core, width",
     [(W, core, width) for W, core in [(1e-300, 1.0), (1e-17, 1.0), (1e-10, 1e-7)] for width in (1e-3, 40.0, 710.4)]
-    + [(800.0, 1.0, 1.0), (1400.0, 1.0, 1.0)],
+    + [(800.0, 1.0, 1.0), (1400.0, 1.0, 1.0), (1.0, 1.0, 711.0)],
 )
 def test_saccheri_oracle_on_short_and_long_arcs(W, core, width):
     # arcs far shorter and far longer than the suite's samples: W*core from
