@@ -15,21 +15,33 @@ import numpy as np
 from .winding import _check_positive
 
 
-def collar_width(x: float) -> float:
-    """Symmetric collar half-width asinh(1/sinh(x/2)); strictly decreasing.
-    Where sinh(x/2) overflows (x past about 1421), an OverflowError names
-    core_length."""
+def _asinh_csch(x: float, k: int) -> float:
+    """asinh(1/sinh(x/k)) at core length x.  Where sinh(x/k) overflows, or
+    its reciprocal does, an OverflowError names core_length."""
     _check_positive(core_length=x)
     try:
-        return math.asinh(1.0 / math.sinh(0.5 * x))
+        inv = 1.0 / math.sinh(x / k)
     except OverflowError:
-        raise OverflowError(f"sinh(core_length/2) overflows at core_length={x!r}") from None
+        raise OverflowError(f"sinh(core_length/{k}) overflows at core_length={x!r}") from None
+    except ZeroDivisionError:  # x / k underflows to 0
+        inv = math.inf
+    if inv == math.inf:
+        raise OverflowError(f"1/sinh(core_length/{k}) overflows at core_length={x!r}")
+    return math.asinh(inv)
+
+
+def collar_width(x: float) -> float:
+    """Symmetric collar half-width asinh(1/sinh(x/2)); strictly decreasing.
+    Where sinh(x/2) overflows (x past about 1421) or its reciprocal does (x
+    below about 1.1e-308), an OverflowError names core_length."""
+    return _asinh_csch(x, 2)
 
 
 def wide_width(x: float) -> float:
-    """Half-width asinh(1/sinh(x/4)) of the wide side of the asymmetric collar."""
-    _check_positive(core_length=x)
-    return math.asinh(1.0 / math.sinh(0.25 * x))
+    """Half-width asinh(1/sinh(x/4)) of the wide side of the asymmetric
+    collar; an OverflowError names core_length where sinh(x/4) overflows (x
+    past about 2842) or its reciprocal does (x below about 2.2e-308)."""
+    return _asinh_csch(x, 4)
 
 
 def generalized_width(x: float) -> tuple[float, float]:
@@ -49,7 +61,13 @@ def hexagon_gap(x: float) -> float:
     a core of length x.  Equals 2*wide_width(x) exactly (asinh(1/sinh t) =
     log coth(t/2))."""
     _check_positive(core_length=x)
-    return 2.0 * math.log1p(2.0 / math.expm1(0.25 * x))
+    try:
+        gap = 2.0 * math.log1p(2.0 / math.expm1(0.25 * x))
+    except ZeroDivisionError:  # x / 4 underflows to 0
+        gap = math.inf
+    if gap == math.inf:
+        raise OverflowError(f"2/expm1(core_length/4) overflows at core_length={x!r}")
+    return gap
 
 
 CUSP_HOROCYCLE_LENGTH = 4.0  # boundary length of the horocycle neighborhood embedded around any cusp

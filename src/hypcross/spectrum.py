@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import os
 from collections import namedtuple
-from math import comb
+from math import comb, cosh, isnan
 
 from .halfplane import length_from_trace
 from .selfint import boundary_count, self_intersection_count
-from .words import enumerate_classes, primitive_root, word_trace
+from .words import _classes, enumerate_classes, primitive_root, word_trace  # noqa: F401, bench traces the last two
 
 # version of the cache file layout; part of the header key
 CACHE_FORMAT = 4
@@ -59,12 +59,12 @@ def spectrum(max_len: int, length_cap: float, k_min: int, cache_path: str | None
     count.  k_min is the caller's threshold of interest (see min_witness);
     entries themselves are not filtered by it.
 
-    A class of word length n has |trace| >= 2n (checked over every class
-    through MAX_WORD_LEN, the guard below), so its length is at least
-    2*acosh(n) and only the word lengths with 2*acosh(n) <= length_cap are
-    enumerated (see reachable_word_length): word length 5 at the sharp bound
-    2*acosh(5).  The entries are those of a filter over every class through
-    max_len; max_len only bites when it is below that reachable length.
+    The cap is a trace ceiling T (see _trace_ceiling): the search returns
+    each class with its trace and drops every necklace with |trace| > T.  A
+    class of word length n has |trace| >= 2n (checked over every class
+    through MAX_WORD_LEN, the guard below), so only word lengths n <= T/2
+    are searched (see reachable_word_length): 5 at the sharp bound, T = 10.
+    The entries are those of a filter over every class through max_len.
 
     Each class v^k is counted from its primitive root v by the exact
     linked-pairs count and the exact boundary count, which must agree
@@ -79,14 +79,13 @@ def spectrum(max_len: int, length_cap: float, k_min: int, cache_path: str | None
         return cached
 
     entries: list[SpectrumEntry] = []
-    for w in enumerate_classes(reachable_word_length(max_len, length_cap)):
-        tr = word_trace(w)
+    for w, tr in _classes(reachable_word_length(max_len, length_cap), _trace_ceiling(length_cap)):
         length = length_from_trace(tr)
         if length <= length_cap:
             count, method = _count_class(w)
             entries.append(SpectrumEntry(w, float(tr), length, count, method))
 
-    # enumerate_classes yields word_key order, which this stable sort keeps on ties
+    # _classes yields word_key order, which this stable sort keeps on ties
     entries.sort(key=lambda e: e.length)
     if cache_path:
         _write_cache(cache_path, key, entries)
@@ -95,16 +94,27 @@ def spectrum(max_len: int, length_cap: float, k_min: int, cache_path: str | None
 
 def reachable_word_length(max_len: int, length_cap: float) -> int:
     """Largest word length n <= max_len (at least 1) whose shortest possible
-    class, of trace 2n and length 2*acosh(n), passes spectrum's filter
-    ``length <= length_cap``.  The bound is the filter's own expression,
-    length_from_trace at trace 2n (2n/2 == n exactly), so a cap equal to a
-    class length keeps that class; every larger trace gives a longer length
-    by far more than rounding.  A nan cap gives 1 (no classes), an infinite
-    one max_len, and max_len < 1 is returned as it is."""
-    n = max_len
-    while n > 1 and not length_from_trace(2 * n) <= length_cap:
-        n -= 1
-    return n
+    class, of trace 2n, is under the cap's trace ceiling T, so n <= T // 2:
+    a cap equal to a class length keeps that class.  A nan cap gives 1 (no
+    classes) and an infinite one max_len."""
+    ceiling = _trace_ceiling(length_cap)
+    return max_len if ceiling is None else max(1, min(max_len, ceiling // 2))
+
+
+def _trace_ceiling(length_cap: float) -> int | None:
+    """Largest integer trace t >= 3 that passes spectrum's filter
+    ``length_from_trace(t) <= length_cap``, found by stepping from
+    int(2*cosh(cap/2)) with that expression: 2 when no trace does (a nan,
+    negative or zero cap), None past cap 72 (inf included), where no class
+    comes near the traces, about 4e15, and floats stop telling them apart."""
+    if not length_cap <= 72.0:
+        return 2 if isnan(length_cap) else None
+    t = int(2.0 * cosh(0.5 * length_cap))
+    while t > 2 and not length_from_trace(t) <= length_cap:
+        t -= 1
+    while length_from_trace(t + 1) <= length_cap:
+        t += 1
+    return t
 
 
 def min_witness(entries: list[SpectrumEntry], k_min: int) -> SpectrumEntry | None:

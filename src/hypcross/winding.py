@@ -60,15 +60,21 @@ def cusp_arc_length(W: float) -> float:
 def winding_from_length(l: float, core_length: float, width: float) -> float:
     """Exact inverse of collar_arc_length in W.
 
-    Domain: 0 < l <= MAX_ARC_LENGTH, core_length finite and > 0, and
-    0 < width <= MAX_ARC_LENGTH / 2, where cosh(width) is finite.  Outside
-    it, a ValueError."""
+    Domain: 0 < l <= MAX_ARC_LENGTH, and core_length and width finite and
+    > 0.  Past width MAX_ARC_LENGTH / 2, where cosh(width) overflows, it
+    inverts in log space and refuses a winding number that would be
+    subnormal or 0.  Outside the domain, a ValueError."""
     if not 0.0 < l <= MAX_ARC_LENGTH:
         raise ValueError(f"arc length must be > 0 and <= {MAX_ARC_LENGTH}, got {l}")
-    _check_positive(core_length=core_length)
-    if not 0.0 < width <= 0.5 * MAX_ARC_LENGTH:
-        raise ValueError(f"width must be > 0 and <= {0.5 * MAX_ARC_LENGTH}, got {width}")
-    return 2.0 * math.asinh(math.sinh(0.5 * l) / math.cosh(width)) / core_length
+    _check_positive(core_length=core_length, width=width)
+    if width <= 0.5 * MAX_ARC_LENGTH:
+        return 2.0 * math.asinh(math.sinh(0.5 * l) / math.cosh(width)) / core_length
+    # here cosh(width) = e^width / 2 to the last bit, so
+    # log sinh(l/2) - log cosh(width) = l/2 - width + log(-expm1(-l))
+    W = 2.0 * math.asinh(math.exp(0.5 * l - width + math.log(-math.expm1(-l)))) / core_length
+    if not W >= sys.float_info.min:
+        raise ValueError(f"winding number underflows at l={l!r}, core_length={core_length!r}, width={width!r}")
+    return W
 
 
 def cusp_winding_from_length(l: float) -> float:

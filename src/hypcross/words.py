@@ -20,8 +20,8 @@ least of its rotations, so every prefix of it is a prenecklace; the search
 extends prenecklaces only (the Fredricksen-Kessler-Maiorana recursion,
 restricted to reduced words) and never visits a prefix that no canonical
 word starts with.  Each prefix carries its integer matrix, so extending it
-by a letter costs one column step and a class's trace is read off its own
-prefix.
+by a letter costs one column step, and a class's trace, read off its own
+prefix, can drop it before the string tests.
 """
 
 from __future__ import annotations
@@ -150,8 +150,13 @@ _EXTEND = {
 def enumerate_classes(max_len: int) -> list[str]:
     """All canonical conjugacy-class representatives of cyclically reduced
     words of length <= max_len, excluding the parabolic (cusp-power) classes,
-    ordered by (length, word).  Every surviving class carries a closed
-    geodesic; on this surface |trace| is an integer >= 6 for all of them.
+    ordered by (length, word): the words of _classes(max_len).  Each carries
+    a closed geodesic, of integer |trace| >= 6 on this surface."""
+    return [w for w, _ in _classes(max_len)]
+
+
+def _classes(max_len: int, max_trace: int | None = None) -> list[tuple[str, int]]:
+    """enumerate_classes(max_len) as (word, trace), |trace| <= max_trace if set.
 
     Depth-first search over reduced prenecklaces in the letter codes (see
     the module docstring), with an explicit stack of (prefix, period,
@@ -159,14 +164,15 @@ def enumerate_classes(max_len: int) -> list[str]:
     that does not cancel its last letter; the period stays p when
     c == w[-p] and becomes len(w) + 1 otherwise, and the matrix takes the
     column step of c.  A prefix is the least of its rotations exactly when
-    its length is a multiple of its period; it is kept when it is also
-    cyclically reduced, no rotation of its inverse is smaller and the trace
-    a + d of its matrix is hyperbolic.  Codes are pushed largest first, so
-    each length is reached in increasing order and the per-length lists
-    need no sort."""
+    its length is a multiple of its period; it is kept when the trace a + d
+    of its matrix has 2 < |a + d| <= max_trace, and then only when it is
+    also cyclically reduced and no rotation of its inverse is smaller.
+    Codes are pushed largest first, so each length is reached in increasing
+    order and the per-length lists need no sort."""
     if not 1 <= max_len <= 14:
         raise ValueError(f"max_len must be in [1, 14], got {max_len}")
-    by_len: list[list[str]] = [[] for _ in range(max_len + 1)]
+    top = float("inf") if max_trace is None else max_trace
+    by_len: list[list[tuple[str, int]]] = [[] for _ in range(max_len + 1)]
     stack = [(c, 1, *GEN_MAT[c.translate(_FROM_CODE)]) for c in reversed(_CODES)]
     while stack:
         w, p, a, b, c, d = stack.pop()
@@ -175,7 +181,7 @@ def enumerate_classes(max_len: int) -> list[str]:
             lo = w[n - p]
             for x, q, r in _EXTEND[lo][w[-1]]:
                 stack.append((w + x, p if x == lo else n + 1, a + r * b, b + q * a, c + r * d, d + q * c))
-        if n % p or w[0] == _INVERSE_OF_CODE[w[-1]]:
+        if n % p or not 2 < abs(a + d) <= top or w[0] == _INVERSE_OF_CODE[w[-1]]:
             continue
         # a rotation of the inverse is smaller than w only if it starts with a
         # code <= w[0], the least code of w; when w starts with a and has no
@@ -184,6 +190,5 @@ def enumerate_classes(max_len: int) -> list[str]:
             inv = w[::-1].translate(_INVERSE_CODE) * 2
             if any(inv[i:i + n] < w for i in range(n)):
                 continue
-        if abs(a + d) > 2:
-            by_len[n].append(w.translate(_FROM_CODE))
-    return [w for ws in by_len for w in ws]
+        by_len[n].append((w.translate(_FROM_CODE), a + d))
+    return [wt for ws in by_len for wt in ws]

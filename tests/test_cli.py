@@ -113,8 +113,9 @@ def test_winding_cusp_far_out(capsys):
     [
         (["winding", "--collar", "--w", "0", "--core", "1", "--width", "1"], "W must be finite and > 0, got 0.0"),
         (["winding", "--cusp", "--w", "1e308"], "cusp arc length overflows at W=1e+308"),
-        # the arc is finite but its inverse's cosh(width) is not; an arc past MAX_ARC_LENGTH
-        (["winding", "--collar", "--w", "1", "--core", "1", "--width", "711"], "width must be > 0 and <= 710.4758600739439, got 711.0"),
+        # a winding number that the inverse's log space gives as a subnormal;
+        # an arc past MAX_ARC_LENGTH
+        (["winding", "--collar", "--w", "1e-310", "--core", "1", "--width", "800"], "winding number underflows at l=171.0109479825719, core_length=1.0, width=800.0"),
         (["winding", "--collar", "--w", "2000", "--core", "1", "--width", "1"], "collar arc length overflows at W=2000.0, core_length=1.0, width=1.0"),
     ],
 )
@@ -126,6 +127,13 @@ def test_winding_refusal_names_the_argument(capsys, argv, message):
     assert err == f"hypcross winding: error: {message}\n"
 
 
+def test_winding_roundtrip_where_cosh_width_overflows(capsys):
+    # the arc is finite and its inverse answers in log space
+    code, out = run(capsys, "winding", "--collar", "--w", "1", "--core", "1", "--width", "711")
+    assert code == 0
+    assert abs(json.loads(out)["results"]["roundtrip_residual"]) < 1e-9
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -134,6 +142,11 @@ def test_winding_refusal_names_the_argument(capsys, argv, message):
         (["pants-length", "--l1", "2000", "--l2", "1", "--l3", "1", "--m", "1", "--n", "2"], "curve length overflows at l1=2000.0, l2=1.0, l3=1.0, m=1, n=2"),
         # cosh * cosh overflows to inf without a raise
         (["pants-length", "--l1", "1419", "--l2", "1", "--l3", "1", "--m", "1", "--n", "2"], "curve length overflows at l1=1419.0, l2=1.0, l3=1.0, m=1, n=2"),
+        # tiny cores: 1/sinh or 2/expm1 overflows, or x/2 underflows to 0
+        (["collar", "--length", "1e-320"], "1/sinh(core_length/2) overflows at core_length=1e-320"),
+        (["collar", "--length", "5e-324"], "1/sinh(core_length/2) overflows at core_length=5e-324"),
+        (["collar", "--length", "1.5e-308"], "1/sinh(core_length/4) overflows at core_length=1.5e-308"),
+        (["collar", "--length", "3e-308"], "2/expm1(core_length/4) overflows at core_length=3e-308"),
     ],
 )
 def test_collar_and_pants_refusals_name_the_argument(capsys, argv, message):

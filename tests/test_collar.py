@@ -79,6 +79,31 @@ def test_domain_errors():
                 fn(x)
 
 
+@pytest.mark.parametrize(
+    "fn, x, message",
+    [
+        (collar_width, 1e-308, "1/sinh(core_length/2) overflows at core_length=1e-308"),
+        (collar_width, 5e-324, "1/sinh(core_length/2) overflows at core_length=5e-324"),  # x/2 is 0
+        (wide_width, 2e-308, "1/sinh(core_length/4) overflows at core_length=2e-308"),
+        (wide_width, 3000.0, "sinh(core_length/4) overflows at core_length=3000.0"),
+        (generalized_width, 2e-308, "1/sinh(core_length/4) overflows at core_length=2e-308"),
+        (hexagon_gap, 4e-308, "2/expm1(core_length/4) overflows at core_length=4e-308"),
+        (hexagon_gap, 5e-324, "2/expm1(core_length/4) overflows at core_length=5e-324"),
+    ],
+)
+def test_tiny_and_huge_cores_overflow_by_name(fn, x, message):
+    # the tiny cores used to give inf, or ZeroDivisionError at 5e-324
+    with pytest.raises(OverflowError) as exc:
+        fn(x)
+    assert str(exc.value) == message
+
+
+def test_widths_are_finite_just_above_the_overflow():
+    assert math.isfinite(collar_width(1.2e-308))
+    assert math.isfinite(wide_width(2.3e-308))
+    assert math.isfinite(hexagon_gap(4.5e-308))
+
+
 def test_cusp_horocycle_bound():
     assert CUSP_HOROCYCLE_LENGTH == 4.0
 

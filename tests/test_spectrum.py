@@ -3,7 +3,8 @@ import math
 import pytest
 
 import hypcross.spectrum as spectrum_module
-from hypcross.spectrum import MAX_WORD_LEN, MethodDisagreement, min_witness, reachable_word_length, spectrum
+from hypcross.halfplane import length_from_trace
+from hypcross.spectrum import MAX_WORD_LEN, MethodDisagreement, _trace_ceiling, min_witness, reachable_word_length, spectrum
 from hypcross.tracer import tracer_count
 from hypcross.words import GEN_MAT, enumerate_classes, is_primitive, word_key, word_trace
 
@@ -207,6 +208,27 @@ def test_reachable_word_length():
     assert reachable_word_length(12, math.inf) == 12
     assert reachable_word_length(12, math.nan) == 1
     assert reachable_word_length(12, -1.0) == 1
+
+
+def test_trace_ceiling():
+    assert _trace_ceiling(M2) == 10
+    assert _trace_ceiling(math.nextafter(M2, 0.0)) == 9
+    for cap in (math.nan, -1.0, 0.0):
+        assert _trace_ceiling(cap) == 2
+    for cap in (math.inf, 1e300):
+        assert _trace_ceiling(cap) is None
+    # a cap at a trace's length keeps that trace, one float below it does not
+    for t in range(3, 2000):
+        cap = length_from_trace(t)
+        assert _trace_ceiling(cap) == t
+        assert _trace_ceiling(math.nextafter(cap, 0.0)) == t - 1
+
+
+def test_length_strictly_increasing_in_integer_trace():
+    # so |trace| <= _trace_ceiling(cap) and length <= cap keep the same
+    # classes; every class through length 12 has |trace| <= 39202
+    lengths = [length_from_trace(t) for t in range(3, 100_001)]
+    assert all(a < b for a, b in zip(lengths, lengths[1:]))
 
 
 def test_infinite_and_nan_caps():

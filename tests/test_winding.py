@@ -109,6 +109,13 @@ def test_collar_roundtrip():
     assert abs(winding_from_length(length, core, width) - W) < 1e-10
 
 
+@pytest.mark.parametrize("W, core, width", [(1.0, 1.0, 711.0), (1e-100, 1.0, 900.0), (1e-250, 1e-10, 1300.0)])
+def test_collar_roundtrip_past_cosh_overflow(W, core, width):
+    # cosh(width) overflows; the inverse answers in log space
+    length = collar_arc_length(W, core, width)
+    assert abs(winding_from_length(length, core, width) - W) <= 1e-13 * W
+
+
 def test_winding_never_negative():
     assert winding_from_length(1e-9, 1.0, 2.0) > 0.0
 
@@ -184,7 +191,7 @@ def test_query_validation():
         (1.0, math.inf, 1.0),
         (1.0, math.nan, 1.0),
         (1.0, 1.0, 0.0),
-        (1.0, 1.0, math.nextafter(0.5 * MAX_ARC_LENGTH, math.inf)),  # cosh(width) overflows
+        (1.0, 1.0, math.nextafter(0.5 * MAX_ARC_LENGTH, math.inf)),  # W = 5.8e-309 is subnormal
         (1.0, 1.0, math.inf),
         (1.0, 1.0, math.nan),
     ]:

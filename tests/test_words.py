@@ -25,6 +25,7 @@ from hypcross.words import (
     word_key,
     word_matrix,
     word_trace,
+    _classes,
 )
 
 letters = st.text(alphabet="abAB", min_size=1, max_size=10)
@@ -149,6 +150,17 @@ def test_word_key_is_length_then_letter_order():
 @pytest.mark.parametrize("max_len", range(1, 9))
 def test_enumerate_matches_brute_force(max_len):
     assert enumerate_classes(max_len) == brute_force_classes(max_len)
+
+
+def test_classes_carry_their_traces():
+    got = _classes(10)
+    assert [w for w, _ in got] == enumerate_classes(10)
+    assert all(t == word_trace(w) for w, t in got)
+
+
+@pytest.mark.parametrize("ceiling", [2, 6, 10, 14, 26])
+def test_classes_under_a_trace_ceiling(ceiling):
+    assert _classes(8, ceiling) == [(w, t) for w, t in _classes(8) if abs(t) <= ceiling]
 
 
 def test_enumerate_class_counts():
