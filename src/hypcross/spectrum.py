@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import os
 from collections import namedtuple
-from math import comb, cosh, isnan
+from math import comb, cosh
 
 from .halfplane import length_from_trace
 from .selfint import boundary_count, self_intersection_count
-from .words import _classes, enumerate_classes, primitive_root, word_trace  # noqa: F401, bench traces the last two
+from .words import _classes, enumerate_classes, primitive_root, word_trace  # noqa: F401, only for bench's stale words.* spans
 
 # version of the cache file layout; part of the header key
 CACHE_FORMAT = 4
@@ -104,11 +104,11 @@ def reachable_word_length(max_len: int, length_cap: float) -> int:
 def _trace_ceiling(length_cap: float) -> int | None:
     """Largest integer trace t >= 3 that passes spectrum's filter
     ``length_from_trace(t) <= length_cap``, found by stepping from
-    int(2*cosh(cap/2)) with that expression: 2 when no trace does (a nan,
-    negative or zero cap), None past cap 72 (inf included), where no class
-    comes near the traces, about 4e15, and floats stop telling them apart."""
-    if not length_cap <= 72.0:
-        return 2 if isnan(length_cap) else None
+    int(2*cosh(cap/2)) with that expression: 2 when no trace does (a nan or a
+    cap <= 0, refused before the even cosh), None past cap 72 (inf included),
+    where no class nears the traces, about 4e15, and floats blur them."""
+    if not 0.0 < length_cap <= 72.0:
+        return None if length_cap > 72.0 else 2
     t = int(2.0 * cosh(0.5 * length_cap))
     while t > 2 and not length_from_trace(t) <= length_cap:
         t -= 1

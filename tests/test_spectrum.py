@@ -213,7 +213,7 @@ def test_reachable_word_length():
 def test_trace_ceiling():
     assert _trace_ceiling(M2) == 10
     assert _trace_ceiling(math.nextafter(M2, 0.0)) == 9
-    for cap in (math.nan, -1.0, 0.0):
+    for cap in (math.nan, -1.0, 0.0, -0.0, 5e-324, -40.0, -100.0, -1500.0, -1e300, -math.inf):
         assert _trace_ceiling(cap) == 2
     for cap in (math.inf, 1e300):
         assert _trace_ceiling(cap) is None
@@ -234,6 +234,10 @@ def test_length_strictly_increasing_in_integer_trace():
 def test_infinite_and_nan_caps():
     assert len(spectrum(6, math.inf, 1)) == 102
     assert spectrum(6, math.nan, 1) == []
+    # cosh is even: a negative cap must not start the ceiling's search at
+    # int(2*cosh(cap/2)), where it would step down for ever or overflow
+    for cap in (-40.0, -100.0, -1500.0, -1e300, -math.inf):
+        assert spectrum(10, cap, 2) == []
 
 
 @pytest.mark.parametrize("max_len", range(1, 11))
