@@ -6,8 +6,8 @@ selfint and spectrum, whose records are named tuples, not dataclasses; import
 the others by name; collar, pants and verifier need numpy, winding and
 tracer do not):
   halfplane  -- the 2x2 tuple kernel (mat_mul, moebius on finite points,
-                fixed_points) shared by selfint and tracer, half-plane
-                points and distance, and the trace-length dictionary
+                fixed_points) of the tracer, half-plane points and
+                distance, and the trace-length dictionary
   collar     -- collar half-widths, asymmetric width pairs, hexagon gap
   pants      -- two-boundary winding curve lengths with a trace oracle
   winding    -- arc length <-> winding number dictionary for collars and cusps

@@ -59,10 +59,13 @@ def hexagon_gap(x: float) -> float:
     """Twice the distance 2*log((e^{x/4}+1)/(e^{x/4}-1)) between the core chord
     and the far side of the right-angled hexagon pair bounding the pants around
     a core of length x.  Equals 2*wide_width(x) exactly (asinh(1/sinh t) =
-    log coth(t/2))."""
+    log coth(t/2)).  Where expm1(x/4) overflows (x past about 2839) or 2 over
+    it does (x below about 4.4e-308), an OverflowError names core_length."""
     _check_positive(core_length=x)
     try:
         gap = 2.0 * math.log1p(2.0 / math.expm1(0.25 * x))
+    except OverflowError:
+        raise OverflowError(f"expm1(core_length/4) overflows at core_length={x!r}") from None
     except ZeroDivisionError:  # x / 4 underflows to 0
         gap = math.inf
     if gap == math.inf:

@@ -5,8 +5,9 @@ The kernel (mat_mul, moebius, fixed_points) works on plain tuples
 (a, b, c, d) for [[a, b], [c, d]].  The product uses only +, - and *, so int
 and float entries both work and int entries stay exact.  moebius acts on
 finite points only, real or complex: the tracer's lines never end at
-infinity.  Selfint's boundary count and the tracer go through the kernel;
-words applies its generators as column steps of its own.
+infinity.  The tracer goes through the kernel; words applies its
+generators as column steps of its own, and selfint's boundary count steps
+each rotation to the next by a column and a row step.
 
 Point is a named tuple, not a dataclass, which keeps dataclasses and inspect
 out of ``import hypcross``.  It checks its arguments in ``__new__`` (``_make``

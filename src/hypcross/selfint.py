@@ -34,19 +34,18 @@ integer p = (a - d) c' - (a' - d') c, so the test needs no square root.
 The ordered pairs of corners are screened by the linked-pairs pair rule
 (X's incoming half-edge is not one of Y's), which keeps one corner pair of
 each crossing from each side; the count is half the interleaved pairs.
-Each rotation's matrix is the previous one conjugated by one generator.
-This count reads linkage from the group's action on the boundary, the
-linked-pairs count from the ribbon order: only the pair rule is shared.
+Each rotation's matrix steps to the next, r_(i+1) = g^-1 r_i g for the
+generator g = (1, q, r, 1) of letter i: word_matrix's column step, then the
+row step (a - q c, b - q d, c - r a, d - r b) of g^-1.  This count reads
+linkage from the group's action on the boundary, the linked-pairs count from
+the ribbon order: only the pair rule is shared.
 
-The float tracer, an oracle for both counts, is hypcross.tracer.  All
-three counters share the word checks (_check_word), which build the integer
-word matrix once; the boundary count reads it exactly, the tracer as floats,
-and the linked-pairs count not at all.
+All three counters, and hypcross.tracer, the float oracle for both, share
+the word checks (_check_word), which build the integer word matrix once.
 """
 
 from __future__ import annotations
 
-from .halfplane import mat_mul
 from .words import GEN_MAT, INVERSE, LETTERS, is_cyclically_reduced, is_primitive, word_matrix
 
 
@@ -120,27 +119,30 @@ def self_intersection_count(w: str) -> int:
 
 def boundary_count(w: str) -> int:
     """Self-intersection number of the closed geodesic of a primitive
-    cyclically reduced hyperbolic word, by exact interleaving of the axes of
-    its rotations on the boundary (see the module docstring).  Integers
-    only.  Raises NotPrimitiveWord for a proper power."""
-    m = _check_word(w)
+    cyclically reduced hyperbolic word, by exact interleaving of its rotations'
+    axes (see the module docstring).  Raises NotPrimitiveWord for a power."""
+    a, b, c, d = _check_word(w)
     if not is_primitive(w):
         raise NotPrimitiveWord(f"word is a proper power: {w!r}")
-    disc = (m[0] + m[3]) ** 2 - 4
-    # per rotation r_i: a - d, c and |c|, which fix its axis's centre and radius
-    axes = []
+    disc = (a + d) ** 2 - 4
+    # per corner i: a - d, c and |c| of r_i, which fix its axis's centre and
+    # radius, and the half-edges by which the strand enters and leaves i
+    corners = []
+    x_in = INVERSE[w[-1]]
     for ch in w:
-        axes.append((m[0] - m[3], m[2], abs(m[2])))
-        m = mat_mul(mat_mul(GEN_MAT[INVERSE[ch]], m), GEN_MAT[ch])  # r_(i+1)
-    # the pair rule: corner j is paired with corner i when i's incoming
-    # half-edge is neither of j's, which leaves out j == i itself
-    ins = [INVERSE[ch] for ch in w[-1] + w[:-1]]
-    paired = {x: [ax for ax, y_in, y_out in zip(axes, ins, w) if x != y_in and x != y_out] for x in set(ins)}
+        corners.append((a - d, c, abs(c), x_in, ch))
+        x_in = INVERSE[ch]
+        _, q, r, _ = GEN_MAT[ch]  # q or r is 0
+        a, c = a + r * b, c + r * d  # the column step
+        b, d = b + q * a, d + q * c
+        a, b = a - q * c, b - q * d  # the row step
+        c, d = c - r * a, d - r * b
     linked = 0
-    for (e, c, r), x_in in zip(axes, ins):
-        for f, g, s in paired[x_in]:
-            p = e * g - f * c
-            linked += (r - s) ** 2 * disc < p * p < (r + s) ** 2 * disc
+    for e, c, r, x_in, _ in corners:
+        for f, g, s, y_in, y_out in corners:
+            if x_in != y_in and x_in != y_out:  # the pair rule, which leaves out j == i
+                p = e * g - f * c
+                linked += (r - s) ** 2 * disc < p * p < (r + s) ** 2 * disc
     if linked % 2:
         raise RuntimeError(f"odd number {linked} of interleaved pairs for {w!r}")
     return linked // 2

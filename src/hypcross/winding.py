@@ -30,13 +30,18 @@ _COLLAR_OVERFLOW = "collar arc length overflows at W={!r}, core_length={!r}, wid
 def collar_arc_length(W: float, core_length: float, width: float) -> float:
     """2*asinh(sinh(W*core/2) * cosh(width)) for an arc winding W times
     through a collar, endpoints at distance width from the core; increasing in
-    every argument.  In log space where sinh or cosh overflows, it answers up
-    to MAX_ARC_LENGTH; past it, an OverflowError names its three arguments."""
+    every argument.  In log space where sinh or cosh overflows, or where s =
+    W*core/2 is below the least normal float, it answers up to
+    MAX_ARC_LENGTH; past it, an OverflowError names its three arguments."""
     _check_positive(W=W, core_length=core_length, width=width)
     s = 0.5 * W * core_length
-    try:
-        length = 2.0 * math.asinh(math.sinh(s) * math.cosh(width))
-    except OverflowError:  # log y, y = sinh(s)*cosh(width); asinh(y) = log(2y) to the last bit past y = 1e154
+    length = None
+    if s >= sys.float_info.min:  # else s has lost digits or is 0
+        try:
+            length = 2.0 * math.asinh(math.sinh(s) * math.cosh(width))
+        except OverflowError:
+            pass
+    if length is None:  # log y, y = sinh(s)*cosh(width); asinh(y) = log(2y) to the last bit past y = 1e154
         log_sinh = s + math.log(-0.5 * math.expm1(-2.0 * s)) if s > 1e-8 else math.log(W) + math.log(core_length) - math.log(2.0)
         log_y = log_sinh + width + math.log1p(math.exp(-2.0 * width)) - math.log(2.0)
         length = 2.0 * (log_y + math.log(2.0)) if log_y > 354.6 else 2.0 * math.asinh(math.exp(log_y))
@@ -61,17 +66,23 @@ def winding_from_length(l: float, core_length: float, width: float) -> float:
     """Exact inverse of collar_arc_length in W.
 
     Domain: 0 < l <= MAX_ARC_LENGTH, and core_length and width finite and
-    > 0.  Past width MAX_ARC_LENGTH / 2, where cosh(width) overflows, it
-    inverts in log space and refuses a winding number that would be
+    > 0.  Where y = sinh(l/2)/cosh(width) is below the least normal float,
+    or cosh(width) overflows (past width MAX_ARC_LENGTH / 2), it inverts in
+    log space.  At every width it refuses a winding number that would be
     subnormal or 0.  Outside the domain, a ValueError."""
     if not 0.0 < l <= MAX_ARC_LENGTH:
         raise ValueError(f"arc length must be > 0 and <= {MAX_ARC_LENGTH}, got {l}")
     _check_positive(core_length=core_length, width=width)
-    if width <= 0.5 * MAX_ARC_LENGTH:
-        return 2.0 * math.asinh(math.sinh(0.5 * l) / math.cosh(width)) / core_length
-    # here cosh(width) = e^width / 2 to the last bit, so
-    # log sinh(l/2) - log cosh(width) = l/2 - width + log(-expm1(-l))
-    W = 2.0 * math.asinh(math.exp(0.5 * l - width + math.log(-math.expm1(-l)))) / core_length
+    y = math.sinh(0.5 * l) / math.cosh(width) if width <= 0.5 * MAX_ARC_LENGTH else 0.0
+    if y < sys.float_info.min:
+        # log y = log sinh(l/2) - log cosh(width), with sinh(l/2) =
+        # e^(l/2) (-expm1(-l)) / 2 and cosh(width) = e^width (1 + e^(-2 width)) / 2
+        log_y = 0.5 * l - width + math.log(-math.expm1(-l)) - math.log1p(math.exp(-2.0 * width))
+        y = math.exp(log_y)
+    if y >= sys.float_info.min:
+        W = 2.0 * math.asinh(y) / core_length
+    else:  # asinh(y) = y, so W = 2y/core, in log space
+        W = math.exp(log_y + math.log(2.0) - math.log(core_length))
     if not W >= sys.float_info.min:
         raise ValueError(f"winding number underflows at l={l!r}, core_length={core_length!r}, width={width!r}")
     return W

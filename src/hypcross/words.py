@@ -18,10 +18,9 @@ inverse of a code is a fixed character translation, so the search compares
 and inverts words without building key tuples.  A canonical word is the
 least of its rotations, so every prefix of it is a prenecklace; the search
 extends prenecklaces only (the Fredricksen-Kessler-Maiorana recursion,
-restricted to reduced words) and never visits a prefix that no canonical
-word starts with.  Each prefix carries its integer matrix, so extending it
-by a letter costs one column step, and a class's trace, read off its own
-prefix, can drop it before the string tests.
+restricted to reduced words).  Each prefix carries its integer matrix, so a
+child costs one column step, and each child is tested when its parent makes
+it, by its trace before the string tests.
 """
 
 from __future__ import annotations
@@ -136,15 +135,12 @@ def word_trace(w: str) -> int:
     return m[0] + m[3]
 
 
-# _EXTEND[lo][last]: codes c >= lo that may follow `last` in a reduced word,
-# largest first, so that the stack pops the least extension first, each with
-# the off-diagonal entries (q, r) of its generator's matrix
-_EXTEND = {
-    lo: {last: tuple((c, *GEN_MAT[c.translate(_FROM_CODE)][1:3]) for c in reversed(_CODES)
-                     if c >= lo and c != _INVERSE_OF_CODE[last])
-         for last in _CODES}
-    for lo in _CODES
-}
+# _EXTEND[lo][last]: (c, q, r) for each code c >= lo that may follow `last` in a
+# reduced word, (q, r) off the diagonal of c's matrix, largest c first
+_EXTEND = {lo: {last: tuple((c, *GEN_MAT[c.translate(_FROM_CODE)][1:3]) for c in reversed(_CODES)
+                            if c >= lo and c != _INVERSE_OF_CODE[last])
+                for last in _CODES}
+           for lo in _CODES}
 
 
 def enumerate_classes(max_len: int) -> list[str]:
@@ -158,37 +154,39 @@ def enumerate_classes(max_len: int) -> list[str]:
 def _classes(max_len: int, max_trace: int | None = None) -> list[tuple[str, int]]:
     """enumerate_classes(max_len) as (word, trace), |trace| <= max_trace if set.
 
-    Depth-first search over reduced prenecklaces in the letter codes (see
-    the module docstring), with an explicit stack of (prefix, period,
-    matrix entries).  A prefix w of period p extends by a code c >= w[-p]
-    that does not cancel its last letter; the period stays p when
-    c == w[-p] and becomes len(w) + 1 otherwise, and the matrix takes the
-    column step of c.  A prefix is the least of its rotations exactly when
-    its length is a multiple of its period; it is kept when the trace a + d
-    of its matrix has 2 < |a + d| <= max_trace, and then only when it is
-    also cyclically reduced and no rotation of its inverse is smaller.
-    Codes are pushed largest first, so each length is reached in increasing
-    order and the per-length lists need no sort."""
+    Depth-first search over reduced prenecklaces (see the module docstring)
+    from the one-letter roots, parabolic and never kept, on a stack of (prefix,
+    period, matrix entries).  A popped prefix w of period p makes w + x for
+    each code x >= w[-p] not cancelling w[-1], of period p if x == w[-p] and
+    len(w) + 1 if not, pushed if shorter than max_len.  A child whose period
+    divides its length is kept when 2 < |trace| <= max_trace, it is cyclically
+    reduced and no rotation of its inverse is smaller.  Codes come largest
+    first, so each length is reached in increasing order, and a parent's kept
+    children, each inserted at the same index, end up in that order too."""
     if not 1 <= max_len <= 14:
         raise ValueError(f"max_len must be in [1, 14], got {max_len}")
     top = float("inf") if max_trace is None else max_trace
     by_len: list[list[tuple[str, int]]] = [[] for _ in range(max_len + 1)]
-    stack = [(c, 1, *GEN_MAT[c.translate(_FROM_CODE)]) for c in reversed(_CODES)]
+    stack = [(c, 1, *GEN_MAT[c.translate(_FROM_CODE)]) for c in reversed(_CODES)] if max_len > 1 else []
     while stack:
         w, p, a, b, c, d = stack.pop()
-        n = len(w)
-        if n < max_len:
-            lo = w[n - p]
-            for x, q, r in _EXTEND[lo][w[-1]]:
-                stack.append((w + x, p if x == lo else n + 1, a + r * b, b + q * a, c + r * d, d + q * c))
-        if n % p or not 2 < abs(a + d) <= top or w[0] == _INVERSE_OF_CODE[w[-1]]:
-            continue
-        # a rotation of the inverse is smaller than w only if it starts with a
-        # code <= w[0], the least code of w; when w starts with a and has no
-        # A, its inverse has no a, so no rotation is
-        if w[0] != "0" or "2" in w:
-            inv = w[::-1].translate(_INVERSE_CODE) * 2
-            if any(inv[i:i + n] < w for i in range(n)):
+        n = len(w) + 1
+        lo, first, at = w[-p], w[0], None
+        for x, q, r in _EXTEND[lo][w[-1]]:
+            a2, c2 = a + r * b, c + r * d
+            d2 = d + q * c2
+            k = p if x == lo else n
+            if n < max_len:
+                stack.append((w + x, k, a2, b + q * a2, c2, d2))
+            if n % k or not 2 < abs(a2 + d2) <= top or x == _INVERSE_OF_CODE[first]:
                 continue
-        by_len[n].append((w.translate(_FROM_CODE), a + d))
+            v = w + x
+            # an inverse rotation smaller than v starts with a code <= v[0],
+            # the least in v; if v starts with a and has no A, none can
+            if first != "0" or "2" in v:
+                inv = v[::-1].translate(_INVERSE_CODE) * 2
+                if any(inv[i:i + n] < v for i in range(n)):
+                    continue
+            at = len(by_len[n]) if at is None else at
+            by_len[n].insert(at, (v.translate(_FROM_CODE), a2 + d2))
     return [wt for ws in by_len for wt in ws]

@@ -127,6 +127,16 @@ def test_winding_refusal_names_the_argument(capsys, argv, message):
     assert err == f"hypcross winding: error: {message}\n"
 
 
+def test_winding_roundtrip_where_half_w_core_underflows(capsys):
+    # W*core/2 underflows to 0: the arc used to come out 0.0 and its inverse
+    # refused it with exit 2
+    code, out = run(capsys, "winding", "--collar", "--w", "1e-200", "--core", "1e-200", "--width", "600")
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["arc_length"] == pytest.approx(1e-200 * math.cosh(600.0) * 1e-200, rel=1e-12)
+    assert abs(results["roundtrip_residual"]) <= 1e-12 * 1e-200
+
+
 def test_winding_roundtrip_where_cosh_width_overflows(capsys):
     # the arc is finite and its inverse answers in log space
     code, out = run(capsys, "winding", "--collar", "--w", "1", "--core", "1", "--width", "711")

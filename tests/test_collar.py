@@ -89,6 +89,7 @@ def test_domain_errors():
         (generalized_width, 2e-308, "1/sinh(core_length/4) overflows at core_length=2e-308"),
         (hexagon_gap, 4e-308, "2/expm1(core_length/4) overflows at core_length=4e-308"),
         (hexagon_gap, 5e-324, "2/expm1(core_length/4) overflows at core_length=5e-324"),
+        (hexagon_gap, 3000.0, "expm1(core_length/4) overflows at core_length=3000.0"),  # was a bare math range error
     ],
 )
 def test_tiny_and_huge_cores_overflow_by_name(fn, x, message):

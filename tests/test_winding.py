@@ -116,6 +116,26 @@ def test_collar_roundtrip_past_cosh_overflow(W, core, width):
     assert abs(winding_from_length(length, core, width) - W) <= 1e-13 * W
 
 
+def test_collar_arc_where_half_w_core_underflows():
+    # s = W*core/2 is 0 or subnormal; the log-space form keeps the length,
+    # which used to come out 0.0: W*core*cosh(width) to first order
+    assert collar_arc_length(1e-200, 1e-200, 600.0) == pytest.approx(1e-200 * math.cosh(600.0) * 1e-200, rel=1e-12)
+    assert collar_arc_length(5e-324, 1.0, 700.0) == pytest.approx(math.ldexp(math.cosh(700.0), -1074), rel=1e-12)  # about 2.5e-20
+
+
+def test_collar_roundtrip_of_a_tiny_winding_number():
+    # sinh(l/2)/cosh(width) is about 5e-401; the inverse answers in log space
+    length = collar_arc_length(1e-200, 1e-200, 600.0)
+    assert winding_from_length(length, 1e-200, 600.0) == pytest.approx(1e-200, rel=1e-12)
+
+
+@pytest.mark.parametrize("args", [(1e-300, 1.0, 700.0), (1e-310, 1.0, 1.0)])
+def test_subnormal_winding_numbers_are_refused_at_every_width(args):
+    # these used to return 0.0 and the subnormal 6.48e-311
+    with pytest.raises(ValueError, match="^winding number underflows at l="):
+        winding_from_length(*args)
+
+
 def test_winding_never_negative():
     assert winding_from_length(1e-9, 1.0, 2.0) > 0.0
 

@@ -1,4 +1,5 @@
 import gc
+from functools import cache
 from itertools import product
 
 import pytest
@@ -161,6 +162,19 @@ def test_classes_carry_their_traces():
 @pytest.mark.parametrize("ceiling", [2, 6, 10, 14, 26])
 def test_classes_under_a_trace_ceiling(ceiling):
     assert _classes(8, ceiling) == [(w, t) for w, t in _classes(8) if abs(t) <= ceiling]
+
+
+@cache
+def _uncapped(max_len):
+    return _classes(max_len)
+
+
+@pytest.mark.parametrize("ceiling", [2, 3, 5, 6, 10, 14, 26, 50])
+@pytest.mark.parametrize("max_len", range(1, 11))
+def test_trace_capped_search_is_the_filtered_search(max_len, ceiling):
+    # the search tests each child when its parent makes it and pushes only
+    # those shorter than max_len: lengths 1 and 2 push nothing past the roots
+    assert _classes(max_len, ceiling) == [(w, t) for w, t in _uncapped(max_len) if abs(t) <= ceiling]
 
 
 def test_enumerate_class_counts():
