@@ -7,16 +7,11 @@ code, and main writes the document to --out (if given) and to stdout.  Exit
 codes: 0 success, 1 failed checks, 2 usage errors, including winding's
 missing or conflicting mode flags, a ValueError raised by the library on an
 out-of-range input, an OverflowError, a result that strict JSON cannot hold
-(NaN or Infinity) and an OSError on a bad --out or --cache path (each
-reported as one "hypcross <command>: error: ..." line on stderr, without a
-traceback).
+(NaN or Infinity) and an OSError on a bad --out path (each reported as one
+"hypcross <command>: error: ..." line on stderr, without a traceback).
 
 The numeric modules (collar, pants, winding, verifier) are imported inside the
 subcommands that use them, so spectrum runs without loading numpy.
-
-An optional key=value config file (--config FILE) supplies flag defaults with
-the same names; explicit flags win.  A --config without a path, or a config
-file that cannot be read, exits 2 with one "hypcross: error: ..." line.
 """
 
 from __future__ import annotations
@@ -147,12 +142,7 @@ def _cmd_verify(args) -> tuple[str, int]:
 
 
 def _cmd_spectrum(args) -> tuple[str, int]:
-    entries = compute_spectrum(
-        args.max_word_len,
-        args.cap,
-        args.k,
-        cache_path=args.cache,
-    )
+    entries = compute_spectrum(args.max_word_len, args.cap, args.k)
     witness = min_witness(entries, args.k)
     lines = [
         f"# spectrum max_word_len={args.max_word_len} cap={args.cap!r} k={args.k}",
@@ -164,18 +154,6 @@ def _cmd_spectrum(args) -> tuple[str, int]:
     else:
         lines.append(f"# witness k={args.k}: " + format_entry(witness).rsplit("\t", 1)[0])  # no method column
     return "\n".join(lines), 0
-
-
-def _load_config(path: str) -> dict[str, str]:
-    cfg: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            cfg[key.strip()] = value.strip()
-    return cfg
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -224,32 +202,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-word-len", type=int, required=True)
     p.add_argument("--cap", type=float, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--cache", default=None)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if "--config" in argv:
-        i = argv.index("--config")
-        if i + 1 >= len(argv):
-            print("hypcross: error: --config needs a file path", file=sys.stderr)
-            return 2
-        try:
-            cfg = _load_config(argv[i + 1])
-        except OSError as exc:
-            print(f"hypcross: error: {exc}", file=sys.stderr)
-            return 2
-        injected: list[str] = []
-        for key, value in cfg.items():
-            if value.lower() == "false":
-                continue
-            injected.append(f"--{key}")
-            if value.lower() != "true":
-                injected.append(value)
-        del argv[i : i + 2]
-        argv = argv[:1] + injected + argv[1:]  # explicit flags come later and win
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -1,5 +1,5 @@
 """Bottom of the length spectrum of the three-cusp sphere with
-self-intersection counts, plus the plain-text cache format.
+self-intersection counts.
 
 Every conjugacy class of the rank-2 parabolic holonomy group yields an
 integer trace and a geodesic length 2*acosh(|tr|/2); classes up to a length
@@ -9,16 +9,12 @@ pairs and boundary interleaving, of the class's primitive root.
 
 from __future__ import annotations
 
-import os
 from collections import namedtuple
 from math import comb, cosh
 
 from .halfplane import length_from_trace
 from .selfint import boundary_count, self_intersection_count
 from .words import _classes, enumerate_classes, primitive_root, word_trace  # noqa: F401, only for bench's stale words.* spans
-
-# version of the cache file layout; part of the header key
-CACHE_FORMAT = 4
 
 # largest word length spectrum accepts; every hyperbolic class up to it has
 # |trace| >= 2 * (word length), checked class by class in tests/test_words.py
@@ -37,7 +33,7 @@ class SpectrumEntry(namedtuple("SpectrumEntry", "word trace length self_intersec
 
 
 def format_entry(e: SpectrumEntry) -> str:
-    """One entry as a tab-separated line of the spectrum table and the cache."""
+    """One entry as a tab-separated line of the spectrum table."""
     return f"{e.word}\t{e.trace!r}\t{e.length!r}\t{e.self_intersections}\t{e.count_method}"
 
 
@@ -53,7 +49,7 @@ def _count_class(w: str) -> tuple[int, str]:
     return comb(2 * k, 2) * exact, "both" if k == 1 else "power"
 
 
-def spectrum(max_len: int, length_cap: float, k_min: int, cache_path: str | None = None) -> list[SpectrumEntry]:
+def spectrum(max_len: int, length_cap: float, k_min: int) -> list[SpectrumEntry]:
     """All hyperbolic classes of word length <= max_len and geodesic length
     <= length_cap, sorted by (length, word), each with its self-intersection
     count.  k_min is the caller's threshold of interest (see min_witness);
@@ -68,15 +64,9 @@ def spectrum(max_len: int, length_cap: float, k_min: int, cache_path: str | None
 
     Each class v^k is counted from its primitive root v by the exact
     linked-pairs count and the exact boundary count, which must agree
-    (MethodDisagreement otherwise), as C(2k, 2) * i(v).  The cache is keyed
-    by (max_len, length_cap) and CACHE_FORMAT."""
+    (MethodDisagreement otherwise), as C(2k, 2) * i(v)."""
     if not 1 <= max_len <= MAX_WORD_LEN:
         raise ValueError(f"max_len must be in [1, {MAX_WORD_LEN}], got {max_len}")
-
-    key = _cache_key(max_len, length_cap)
-    cached = _read_cache(cache_path, key) if cache_path else None
-    if cached is not None:
-        return cached
 
     entries: list[SpectrumEntry] = []
     for w, tr in _classes(reachable_word_length(max_len, length_cap), _trace_ceiling(length_cap)):
@@ -87,8 +77,6 @@ def spectrum(max_len: int, length_cap: float, k_min: int, cache_path: str | None
 
     # _classes yields word_key order, which this stable sort keeps on ties
     entries.sort(key=lambda e: e.length)
-    if cache_path:
-        _write_cache(cache_path, key, entries)
     return entries
 
 
@@ -137,52 +125,3 @@ def __getattr__(name: str):
 
     globals()[name] = tracer_count
     return tracer_count
-
-
-# ------------------------------------------------------------------ cache
-
-def _cache_key(max_len: int, length_cap: float) -> str:
-    """Header line naming every input that changes the entries."""
-    return f"# max_len={max_len} length_cap={length_cap!r} format={CACHE_FORMAT}"
-
-
-def _write_cache(path: str, key: str, entries: list[SpectrumEntry]) -> None:
-    """Write the header, one line per entry and the trailer ``# entries=N`` to
-    a temporary file beside ``path``, then rename it into place, so a reader
-    never sees a half-written cache.  A failure to create the temporary file
-    is reported against ``path``, the name the caller gave."""
-    import tempfile  # only cache writers need it
-
-    try:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
-    except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, path) from exc
-    try:
-        with os.fdopen(fd, "w", encoding="ascii") as fh:
-            fh.write(key + "\n")
-            for e in entries:
-                fh.write(format_entry(e) + "\n")
-            fh.write(f"# entries={len(entries)}\n")
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
-def _read_cache(path: str, key: str) -> list[SpectrumEntry] | None:
-    """The entries cached under ``key``, or None (recompute) when the file is
-    missing, has another header, or is truncated or garbled."""
-    if not os.path.exists(path):
-        return None
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            header, *body, trailer, end = fh.read().split("\n")
-        if header != key or trailer != f"# entries={len(body)}" or end:
-            return None
-        out = []
-        for line in body:
-            word, trace, length, count, method = line.split("\t")
-            out.append(SpectrumEntry(word, float(trace), float(length), int(count), method))
-    except ValueError:  # too few lines or fields, a bad number, or non-ascii bytes
-        return None
-    return out

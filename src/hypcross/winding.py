@@ -25,6 +25,7 @@ def _check_positive(**args: float) -> None:
 
 MAX_ARC_LENGTH = 2.0 * math.asinh(sys.float_info.max)  # about 1421: the l with sinh(l/2) finite; cosh(w) is finite for w up to half of it
 _COLLAR_OVERFLOW = "collar arc length overflows at W={!r}, core_length={!r}, width={!r}"
+_COLLAR_UNDERFLOW = "collar arc length underflows at W={!r}, core_length={!r}, width={!r}"
 
 
 def collar_arc_length(W: float, core_length: float, width: float) -> float:
@@ -32,7 +33,8 @@ def collar_arc_length(W: float, core_length: float, width: float) -> float:
     through a collar, endpoints at distance width from the core; increasing in
     every argument.  In log space where sinh or cosh overflows, or where s =
     W*core/2 is below the least normal float, it answers up to
-    MAX_ARC_LENGTH; past it, an OverflowError names its three arguments."""
+    MAX_ARC_LENGTH; past it, an OverflowError names its three arguments, and
+    so does a ValueError where the length is below the least normal float."""
     _check_positive(W=W, core_length=core_length, width=width)
     s = 0.5 * W * core_length
     length = None
@@ -47,6 +49,8 @@ def collar_arc_length(W: float, core_length: float, width: float) -> float:
         length = 2.0 * (log_y + math.log(2.0)) if log_y > 354.6 else 2.0 * math.asinh(math.exp(log_y))
     if not length <= MAX_ARC_LENGTH:
         raise OverflowError(_COLLAR_OVERFLOW.format(W, core_length, width))
+    if length < sys.float_info.min:
+        raise ValueError(_COLLAR_UNDERFLOW.format(W, core_length, width))
     return length
 
 
@@ -69,7 +73,8 @@ def winding_from_length(l: float, core_length: float, width: float) -> float:
     > 0.  Where y = sinh(l/2)/cosh(width) is below the least normal float,
     or cosh(width) overflows (past width MAX_ARC_LENGTH / 2), it inverts in
     log space.  At every width it refuses a winding number that would be
-    subnormal or 0.  Outside the domain, a ValueError."""
+    subnormal or 0, and one that overflows (a tiny core_length) with an
+    OverflowError.  Outside the domain, a ValueError."""
     if not 0.0 < l <= MAX_ARC_LENGTH:
         raise ValueError(f"arc length must be > 0 and <= {MAX_ARC_LENGTH}, got {l}")
     _check_positive(core_length=core_length, width=width)
@@ -85,6 +90,8 @@ def winding_from_length(l: float, core_length: float, width: float) -> float:
         W = math.exp(log_y + math.log(2.0) - math.log(core_length))
     if not W >= sys.float_info.min:
         raise ValueError(f"winding number underflows at l={l!r}, core_length={core_length!r}, width={width!r}")
+    if W == math.inf:
+        raise OverflowError(f"winding number overflows at l={l!r}, core_length={core_length!r}, width={width!r}")
     return W
 
 
@@ -109,22 +116,33 @@ def saccheri_top_length(W: float, core_length: float, width: float) -> float:
     and Y = y/D.  Measure the top side between them with complex_dist.  The
     corners are mirror images, so their difference 2X keeps every digit
     however small s is; halving sinh(s) first keeps X finite wherever
-    sinh(s) is.  It raises collar_arc_length's ValueError and, past
-    MAX_ARC_LENGTH, its OverflowError; that OverflowError also where Y, a
-    subnormal below 2^-1042, keeps under 32 bits (widths past about 722)."""
+    sinh(s) is.  Where s is below the least normal float it has lost digits
+    or is 0, while cosh(s/2) = 1 and sinh(s) = s to the last bit, so D = 1:
+    there X is built from the mantissas and exponents of W and core_length,
+    already dilated by the power of 2 (an isometry) that puts Y in [1/2, 1).
+    It raises collar_arc_length's ValueError, including where the length is
+    below the least normal float, and, past MAX_ARC_LENGTH, its
+    OverflowError; that OverflowError also where Y, a subnormal below
+    2^-1042, keeps under 32 bits (widths past about 722)."""
     _check_positive(W=W, core_length=core_length, width=width)
     s = 0.5 * W * core_length
     y = math.exp(-width)
     try:
-        c, h = math.cosh(0.5 * s), math.sinh(0.5 * s)
-        D = c * c + h * h * y * y
-        X = 0.5 * math.sinh(s) * (1.0 + y * y) / D
-        Y = y / D
-        length = complex_dist(complex(X, Y), complex(-X, Y)) if Y >= 2.0**-1042 else math.inf
+        if s >= sys.float_info.min:
+            c, h = math.cosh(0.5 * s), math.sinh(0.5 * s)
+            D = c * c + h * h * y * y
+            X = 0.5 * math.sinh(s) * (1.0 + y * y) / D
+            Y = top = y / D
+        else:  # D = 1, and the quadrilateral is dilated by 2^-e (see above)
+            (mW, eW), (mC, eC), (top, e) = math.frexp(W), math.frexp(core_length), math.frexp(y)
+            X, Y = math.ldexp(0.25 * mW * mC, eW + eC - e) * (1.0 + y * y), y
+        length = complex_dist(complex(X, top), complex(-X, top)) if Y >= 2.0**-1042 else math.inf
     except OverflowError:
         length = math.inf
     if not length <= MAX_ARC_LENGTH:
         raise OverflowError(_COLLAR_OVERFLOW.format(W, core_length, width))
+    if length < sys.float_info.min:
+        raise ValueError(_COLLAR_UNDERFLOW.format(W, core_length, width))
     return length
 
 

@@ -112,83 +112,12 @@ def test_power_counter_disagreement_raises(monkeypatch):
         spectrum_module._count_class("abab")
 
 
-def test_cache_roundtrip(tmp_path):
-    path = tmp_path / "spec.tsv"
-    first = spectrum(6, 5.0, 2, cache_path=str(path))
-    assert path.exists()
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# max_len=6 length_cap=5.0 format=4"
-    assert lines[-1] == "# entries=9" and len(lines) == 11
-    again = spectrum(6, 5.0, 2, cache_path=str(path))
-    assert again == first
-
-
-def test_format_2_cache_is_recomputed(tmp_path):
-    # a file an earlier version wrote, with a planted wrong count, misses
-    path = tmp_path / "spec.tsv"
-    path.write_text("# max_len=6 length_cap=5.0 cutoff=default tol=1e-06 format=2\nab\t6.0\t3.525494348078172\t7\tboth\n")
-    entries = spectrum(6, 5.0, 2, cache_path=str(path))
-    assert entries == spectrum(6, 5.0, 2)
-    assert path.read_text().splitlines()[0] == "# max_len=6 length_cap=5.0 format=4"
-    assert spectrum(6, 5.0, 2, cache_path=str(path)) == entries
-
-
-@pytest.mark.parametrize(
-    "damage",
-    [
-        lambda text: "".join(text.splitlines(keepends=True)[:3]),  # the header and two entries, no trailer
-        lambda text: text.replace("\t", " ", 1),  # an entry line with four fields
-        lambda text: text.replace("\t1\t", "\tone\t", 1),  # a count that is not an int
-        lambda text: text.replace("\n", "\nab\t6.0\t3.5\t1\tboth\n", 1),  # one line more than the trailer counts
-        lambda text: text.rstrip("\n"),  # the trailer's newline cut off
-        lambda text: text + "ab\n",  # bytes after the trailer
-        lambda text: text[:-20],  # cut mid-line
-        lambda text: text.replace("both", "b\u00f6th", 1),  # not ascii
-        lambda text: text.split("\n", 1)[0] + "\n",  # the header alone
-    ],
-    ids=["truncated", "garbled", "bad-int", "count-wrong", "no-final-newline", "trailing-bytes", "mid-line", "non-ascii", "header-only"],
-)
-def test_damaged_cache_is_recomputed(tmp_path, damage):
-    path = tmp_path / "spec.tsv"
-    want = spectrum(6, 5.0, 2, cache_path=str(path))
-    whole = path.read_text()
-    path.write_text(damage(whole), encoding="utf-8")
-    assert spectrum(6, 5.0, 2, cache_path=str(path)) == want
-    # rewritten whole, in place, with no temporary file left behind
-    assert path.read_text() == whole
-    assert [p.name for p in tmp_path.iterdir()] == ["spec.tsv"]
-
-
 def test_entry_record():
     e = spectrum(6, 5.0, 2)[0]
     assert repr(e) == "SpectrumEntry(word='ab', trace=6.0, length=3.525494348078172, self_intersections=1, count_method='both')"
     assert e == ("ab", 6.0, 3.525494348078172, 1, "both")
     with pytest.raises(AttributeError):
         e.self_intersections = 2
-
-
-def test_cache_key_mismatch_recomputes(tmp_path):
-    path = tmp_path / "spec.tsv"
-    spectrum(5, 5.0, 2, cache_path=str(path))
-    other = spectrum(6, 5.0, 2, cache_path=str(path))
-    assert {e.word for e in other} >= {e.word for e in spectrum(5, 5.0, 2)}
-    # file now carries the new key
-    assert path.read_text().splitlines()[0].startswith("# max_len=6 ")
-
-
-def test_cache_key_covers_length_cap(tmp_path):
-    path = tmp_path / "spec.tsv"
-    assert len(spectrum(6, 5.0, 1, cache_path=str(path))) == 9
-    narrow = spectrum(6, 3.6, 1, cache_path=str(path))
-    assert narrow == spectrum(6, 3.6, 1)
-    assert len(narrow) == 3
-    assert path.read_text().splitlines()[0].startswith("# max_len=6 length_cap=3.6 ")
-
-
-def test_cache_write_leaves_no_temporary_file(tmp_path):
-    path = tmp_path / "spec.tsv"
-    spectrum(5, 5.0, 1, cache_path=str(path))
-    assert [p.name for p in tmp_path.iterdir()] == ["spec.tsv"]
 
 
 def test_max_len_guard():

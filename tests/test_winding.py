@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -103,6 +104,18 @@ def test_collar_overflow_is_one_error(args):
     assert str(oracle.value) == str(closed.value)
 
 
+@pytest.mark.parametrize("args", [(1e-170, 1e-170, 1.0), (1e-300, 1e-300, 1.0)])
+def test_collar_underflow_is_one_error(args):
+    # true lengths about 1.5e-340 and 1.5e-600: both used to return 0.0; the
+    # closed form and the oracle raise the same ValueError, which names the
+    # arguments
+    with pytest.raises(ValueError, match="^collar arc length underflows at W=") as closed:
+        collar_arc_length(*args)
+    with pytest.raises(ValueError) as oracle:
+        saccheri_top_length(*args)
+    assert str(oracle.value) == str(closed.value)
+
+
 def test_collar_roundtrip():
     W, core, width = 1.7, 1.0, 0.5
     length = collar_arc_length(W, core, width)
@@ -134,6 +147,12 @@ def test_subnormal_winding_numbers_are_refused_at_every_width(args):
     # these used to return 0.0 and the subnormal 6.48e-311
     with pytest.raises(ValueError, match="^winding number underflows at l="):
         winding_from_length(*args)
+
+
+def test_winding_number_that_overflows_is_refused():
+    # 2*asinh(y)/core_length is inf here; this used to return inf
+    with pytest.raises(OverflowError, match=r"^winding number overflows at l=1.0, core_length=5e-324, width=1.0$"):
+        winding_from_length(1.0, 5e-324, 1.0)
 
 
 def test_winding_never_negative():
@@ -175,6 +194,34 @@ def test_saccheri_oracle_on_short_and_long_arcs(W, core, width):
     # 1e-300, where the feet nearly coincide, up to 1400
     got = collar_arc_length(W, core, width)
     assert abs(saccheri_top_length(W, core, width) - got) <= 1e-12 * got
+
+
+@pytest.mark.parametrize("args", [(1e-200, 1e-200, 600.0), (5e-324, 1.0, 700.0), (3e-320, 3e-3, 100.0)])
+def test_collar_oracle_where_half_w_core_underflows(args):
+    # W*core/2 is 0 or subnormal and the length is not: the oracle used to
+    # return 0.0 against 1.89e-140 and 2.5e-20, and to fall 12 % short of
+    # 1.21e-279 where W*core/2 kept a few digits
+    closed = collar_arc_length(*args)
+    assert abs(saccheri_top_length(*args) - closed) <= 1e-12 * closed
+
+
+def test_collar_oracle_meets_the_closed_form_or_one_refuses():
+    # W, core and width log-uniform from 1e-320 to 1e308: where both answer,
+    # neither is 0.0 and they agree; the oracle used to give 0.0 where
+    # W*core/2 underflowed, in about a quarter of the inputs where both answered
+    rng = random.Random(20261020)
+    answered = 0
+    for _ in range(3000):
+        args = tuple(10.0 ** rng.uniform(-320.0, 308.0) for _ in range(3))
+        try:
+            closed = collar_arc_length(*args)
+            oracle = saccheri_top_length(*args)
+        except (ValueError, OverflowError):
+            continue
+        answered += 1
+        assert closed > 0.0 and oracle > 0.0, args
+        assert abs(oracle - closed) <= 1e-9 * closed, args
+    assert answered > 300
 
 
 @pytest.mark.parametrize("W", [0.1, 0.5, 1.0, 2.0, 5.0, 10.0])
