@@ -14,8 +14,6 @@ out of ``import hypcross``.  It checks its arguments in ``__new__`` (``_make``
 and ``_replace`` skip the checks).
 """
 
-from __future__ import annotations
-
 import math
 import sys
 from collections import namedtuple

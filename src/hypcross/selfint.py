@@ -40,11 +40,13 @@ row step (a - q c, b - q d, c - r a, d - r b) of g^-1.  This count reads
 linkage from the group's action on the boundary, the linked-pairs count from
 the ribbon order: only the pair rule is shared.
 
-All three counters, and hypcross.tracer, the float oracle for both, share
-the word checks (_check_word), which build the integer word matrix once.
+The checked entry points, self_intersection_count and boundary_count, each
+run the word checks (_check_word, which builds the integer word matrix, and
+is_primitive) and then their integer kernel, _linked_pairs or
+_interleaved_pairs.  hypcross.tracer, the float oracle for both, runs the
+same word checks; hypcross.spectrum checks each class's primitive root once
+and runs both kernels on it.
 """
-
-from __future__ import annotations
 
 from .words import GEN_MAT, INVERSE, LETTERS, is_cyclically_reduced, is_primitive, word_matrix
 
@@ -86,6 +88,12 @@ def self_intersection_count(w: str) -> int:
     _check_word(w)
     if not is_primitive(w):
         raise NotPrimitiveWord(f"word is a proper power: {w!r}")
+    return _linked_pairs(w)
+
+
+def _linked_pairs(w: str) -> int:
+    """The linked-pairs kernel of self_intersection_count, on a word that
+    has passed its checks."""
     n = len(w)
     # out2[k]: half-edge leaving the corner before position k mod n;
     # in2[k - 1]: half-edge entering it (negative indices wrap too)
@@ -121,9 +129,16 @@ def boundary_count(w: str) -> int:
     """Self-intersection number of the closed geodesic of a primitive
     cyclically reduced hyperbolic word, by exact interleaving of its rotations'
     axes (see the module docstring).  Raises NotPrimitiveWord for a power."""
-    a, b, c, d = _check_word(w)
+    m = _check_word(w)
     if not is_primitive(w):
         raise NotPrimitiveWord(f"word is a proper power: {w!r}")
+    return _interleaved_pairs(w, m)
+
+
+def _interleaved_pairs(w: str, m: tuple[int, int, int, int]) -> int:
+    """The interleaving kernel of boundary_count, on a word that has passed
+    its checks, with m = word_matrix(w)."""
+    a, b, c, d = m
     disc = (a + d) ** 2 - 4
     # per corner i: a - d, c and |c| of r_i, which fix its axis's centre and
     # radius, and the half-edges by which the strand enters and leaves i

@@ -4,16 +4,15 @@ self-intersection counts.
 Every conjugacy class of the rank-2 parabolic holonomy group yields an
 integer trace and a geodesic length 2*acosh(|tr|/2); classes up to a length
 cap get their self-intersection number from the two exact counts, linked
-pairs and boundary interleaving, of the class's primitive root.
+pairs and boundary interleaving, run as integer kernels on the class's
+primitive root after one check of that root.
 """
-
-from __future__ import annotations
 
 from collections import namedtuple
 from math import comb, cosh
 
 from .halfplane import length_from_trace
-from .selfint import boundary_count, self_intersection_count
+from .selfint import _check_word, _interleaved_pairs, _linked_pairs, self_intersection_count  # noqa: F401, the last only for bench's selfint.* spans
 from .words import _classes, enumerate_classes, primitive_root, word_trace  # noqa: F401, only for bench's stale words.* spans
 
 # largest word length spectrum accepts; every hyperbolic class up to it has
@@ -40,10 +39,12 @@ def format_entry(e: SpectrumEntry) -> str:
 def _count_class(w: str) -> tuple[int, str]:
     """Count w = v^k from its primitive root v: C(2k, 2) * i(v), the frozen
     convention hypcross.tracer.tracer_count documents, which is i(v) itself
-    when k = 1."""
+    when k = 1.  v is checked once and both kernels run on it."""
     v, k = primitive_root(w)
-    exact = self_intersection_count(v)
-    boundary = boundary_count(v)
+    # v is primitive as the least period of w, so is_primitive is not re-run
+    m = _check_word(v)
+    exact = _linked_pairs(v)
+    boundary = _interleaved_pairs(v, m)
     if exact != boundary:
         raise MethodDisagreement(f"{v!r}: exact {exact} != boundary {boundary}")
     return comb(2 * k, 2) * exact, "both" if k == 1 else "power"
@@ -62,9 +63,10 @@ def spectrum(max_len: int, length_cap: float, k_min: int) -> list[SpectrumEntry]
     are searched (see reachable_word_length): 5 at the sharp bound, T = 10.
     The entries are those of a filter over every class through max_len.
 
-    Each class v^k is counted from its primitive root v by the exact
-    linked-pairs count and the exact boundary count, which must agree
-    (MethodDisagreement otherwise), as C(2k, 2) * i(v)."""
+    Each class v^k is counted from its primitive root v, checked once, by
+    the kernels of the exact linked-pairs count and of the exact boundary
+    count, which must agree (MethodDisagreement otherwise), as
+    C(2k, 2) * i(v)."""
     if not 1 <= max_len <= MAX_WORD_LEN:
         raise ValueError(f"max_len must be in [1, {MAX_WORD_LEN}], got {max_len}")
 
@@ -106,7 +108,9 @@ def _trace_ceiling(length_cap: float) -> int | None:
 
 
 def min_witness(entries: list[SpectrumEntry], k_min: int) -> SpectrumEntry | None:
-    """Shortest entry with at least k_min self-intersections, if any."""
+    """Shortest entry with at least k_min >= 1 self-intersections, if any."""
+    if k_min < 1:
+        raise ValueError(f"k_min must be >= 1, got {k_min}")
     for e in entries:
         if e.self_intersections >= k_min:
             return e

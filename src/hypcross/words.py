@@ -23,8 +23,6 @@ child costs one column step, and each child is tested when its parent makes
 it, by its trace before the string tests.
 """
 
-from __future__ import annotations
-
 LETTERS = "abAB"
 INVERSE = {"a": "A", "A": "a", "b": "B", "B": "b"}
 MIRROR = {"a": "b", "b": "a", "A": "B", "B": "A"}

@@ -209,6 +209,9 @@ def test_usage_error_exit_code(capsys):
         # winding without exactly one mode, or a collar without its core and width
         ["winding", "--w", "1"],
         ["winding", "--collar", "--w", "1"],
+        # a witness threshold below 1: every closed geodesic here crosses itself
+        ["spectrum", "--max-word-len", "4", "--cap", "4.6", "--k", "0"],
+        ["spectrum", "--max-word-len", "4", "--cap", "4.6", "--k", "-3"],
     ],
 )
 @pytest.mark.filterwarnings("error")  # a warning would print to stderr outside pytest
@@ -411,7 +414,7 @@ def test_import_loads_no_dataclasses_inspect_or_numpy():
     assert proc.returncode == 0, proc.stderr
     added = proc.stdout.split()
     assert "hypcross.spectrum" in added
-    forbidden = {"dataclasses", "inspect", "numpy", "hypcross.verifier", "concurrent.futures", "hypcross.tracer"}
+    forbidden = {"dataclasses", "inspect", "numpy", "hypcross.verifier", "concurrent.futures", "hypcross.tracer", "__future__"}
     assert not forbidden & set(added), added
 
 

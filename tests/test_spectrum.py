@@ -4,9 +4,10 @@ import pytest
 
 import hypcross.spectrum as spectrum_module
 from hypcross.halfplane import length_from_trace
+from hypcross.selfint import _check_word, _interleaved_pairs, _linked_pairs, boundary_count, self_intersection_count
 from hypcross.spectrum import MAX_WORD_LEN, MethodDisagreement, _trace_ceiling, min_witness, reachable_word_length, spectrum
 from hypcross.tracer import tracer_count
-from hypcross.words import GEN_MAT, enumerate_classes, is_primitive, word_key, word_trace
+from hypcross.words import GEN_MAT, enumerate_classes, is_primitive, primitive_root, word_key, word_trace
 
 M1 = 2 * math.acosh(3.0)
 M2 = 2 * math.acosh(5.0)
@@ -99,15 +100,27 @@ def test_primitive_classes_the_default_tracer_gets_wrong(w, count):
     assert spectrum_module._count_class(w) == (count, "both")
 
 
+def test_count_class_is_the_public_count_of_the_root_through_length_ten():
+    # _count_class runs the kernels on one check of the root: it must give
+    # C(2k, 2) times the root's public count, and each kernel its public count
+    for w in enumerate_classes(10):
+        v, k = primitive_root(w)
+        count = self_intersection_count(v)
+        assert spectrum_module._count_class(w) == (math.comb(2 * k, 2) * count, "both" if k == 1 else "power"), w
+        if k == 1:
+            assert _linked_pairs(w) == count, w
+            assert _interleaved_pairs(w, _check_word(w)) == boundary_count(w) == count, w
+
+
 def test_counter_disagreement_raises(monkeypatch):
-    monkeypatch.setattr(spectrum_module, "boundary_count", lambda w: 3)
+    monkeypatch.setattr(spectrum_module, "_interleaved_pairs", lambda w, m: 3)
     with pytest.raises(MethodDisagreement, match="'aab': exact 2 != boundary 3"):
         spectrum_module._count_class("aab")
 
 
 def test_power_counter_disagreement_raises(monkeypatch):
     # a power is checked on its root: both counts of ab must agree
-    monkeypatch.setattr(spectrum_module, "boundary_count", lambda w: 2 if w == "ab" else 1)
+    monkeypatch.setattr(spectrum_module, "_interleaved_pairs", lambda w, m: 2 if w == "ab" else 1)
     with pytest.raises(MethodDisagreement, match="'ab': exact 1 != boundary 2"):
         spectrum_module._count_class("abab")
 
