@@ -142,6 +142,7 @@ def _cmd_verify(args) -> tuple[str, int]:
 
 
 def _cmd_spectrum(args) -> tuple[str, int]:
+    min_witness([], args.k)  # refuses a --k below 1 before the search
     entries = compute_spectrum(args.max_word_len, args.cap, args.k)
     witness = min_witness(entries, args.k)
     lines = [

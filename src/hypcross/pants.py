@@ -51,8 +51,8 @@ def chebyshev_ratio(m: int, l: float) -> float:
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    if l < 0.0:
-        raise ValueError(f"l must be >= 0, got {l}")
+    if not (math.isfinite(l) and l >= 0.0):
+        raise ValueError(f"l must be finite and >= 0, got {l}")
     if l == 0.0:
         return float(m)
     t = 0.5 * l

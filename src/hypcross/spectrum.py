@@ -15,8 +15,8 @@ from .halfplane import length_from_trace
 from .selfint import _check_word, _interleaved_pairs, _linked_pairs, self_intersection_count  # noqa: F401, the last only for bench's selfint.* spans
 from .words import _classes, enumerate_classes, primitive_root, word_trace  # noqa: F401, only for bench's stale words.* spans
 
-# largest word length spectrum accepts; every hyperbolic class up to it has
-# |trace| >= 2 * (word length), checked class by class in tests/test_words.py
+# largest word length spectrum accepts; under a cap's trace ceiling T the
+# search also stops at word length T // 2 (see words._classes)
 MAX_WORD_LEN = 12
 
 
@@ -56,12 +56,13 @@ def spectrum(max_len: int, length_cap: float, k_min: int) -> list[SpectrumEntry]
     count.  k_min is the caller's threshold of interest (see min_witness);
     entries themselves are not filtered by it.
 
-    The cap is a trace ceiling T (see _trace_ceiling): the search returns
-    each class with its trace and drops every necklace with |trace| > T.  A
-    class of word length n has |trace| >= 2n (checked over every class
-    through MAX_WORD_LEN, the guard below), so only word lengths n <= T/2
-    are searched (see reachable_word_length): 5 at the sharp bound, T = 10.
-    The entries are those of a filter over every class through max_len.
+    The cap is a trace ceiling T (see _trace_ceiling), the largest trace
+    whose length passes: the search returns each class with its trace, drops
+    every necklace with |trace| > T and bounds its own depth by T // 2 (word
+    length 5 at the sharp bound, T = 10).  The entries are those of a filter
+    ``length <= length_cap`` over every class through max_len: past cap 72,
+    where there is no ceiling, every class through MAX_WORD_LEN passes, the
+    longest at about 21.2.
 
     Each class v^k is counted from its primitive root v, checked once, by
     the kernels of the exact linked-pairs count and of the exact boundary
@@ -71,24 +72,13 @@ def spectrum(max_len: int, length_cap: float, k_min: int) -> list[SpectrumEntry]
         raise ValueError(f"max_len must be in [1, {MAX_WORD_LEN}], got {max_len}")
 
     entries: list[SpectrumEntry] = []
-    for w, tr in _classes(reachable_word_length(max_len, length_cap), _trace_ceiling(length_cap)):
-        length = length_from_trace(tr)
-        if length <= length_cap:
-            count, method = _count_class(w)
-            entries.append(SpectrumEntry(w, float(tr), length, count, method))
+    for w, tr in _classes(max_len, _trace_ceiling(length_cap)):
+        count, method = _count_class(w)
+        entries.append(SpectrumEntry(w, float(tr), length_from_trace(tr), count, method))
 
     # _classes yields word_key order, which this stable sort keeps on ties
     entries.sort(key=lambda e: e.length)
     return entries
-
-
-def reachable_word_length(max_len: int, length_cap: float) -> int:
-    """Largest word length n <= max_len (at least 1) whose shortest possible
-    class, of trace 2n, is under the cap's trace ceiling T, so n <= T // 2:
-    a cap equal to a class length keeps that class.  A nan cap gives 1 (no
-    classes) and an infinite one max_len."""
-    ceiling = _trace_ceiling(length_cap)
-    return max_len if ceiling is None else max(1, min(max_len, ceiling // 2))
 
 
 def _trace_ceiling(length_cap: float) -> int | None:

@@ -20,7 +20,9 @@ least of its rotations, so every prefix of it is a prenecklace; the search
 extends prenecklaces only (the Fredricksen-Kessler-Maiorana recursion,
 restricted to reduced words).  Each prefix carries its integer matrix, so a
 child costs one column step, and each child is tested when its parent makes
-it, by its trace before the string tests.
+it, by its trace before the string tests.  Every class of word length n
+through 14, the longest searched, has |trace| >= 2n, so under a trace
+ceiling T the search stops at word length T // 2.
 """
 
 LETTERS = "abAB"
@@ -154,16 +156,21 @@ def _classes(max_len: int, max_trace: int | None = None) -> list[tuple[str, int]
 
     Depth-first search over reduced prenecklaces (see the module docstring)
     from the one-letter roots, parabolic and never kept, on a stack of (prefix,
-    period, matrix entries).  A popped prefix w of period p makes w + x for
-    each code x >= w[-p] not cancelling w[-1], of period p if x == w[-p] and
-    len(w) + 1 if not, pushed if shorter than max_len.  A child whose period
-    divides its length is kept when 2 < |trace| <= max_trace, it is cyclically
-    reduced and no rotation of its inverse is smaller.  Codes come largest
-    first, so each length is reached in increasing order, and a parent's kept
-    children, each inserted at the same index, end up in that order too."""
+    period, matrix entries), to depth max_len, or max_trace // 2 if less.  A
+    popped prefix w of period p makes w + x for each code x >= w[-p] not
+    cancelling w[-1], of period p if x == w[-p] and len(w) + 1 if not, pushed
+    if shorter than the depth.  A child whose period divides its length is
+    kept when 2 < |trace| <= max_trace, it is cyclically reduced and no
+    rotation of its inverse is smaller.  Codes come largest first, so each
+    length is reached in increasing order, and a parent's kept children, each
+    inserted at the same index, end up in that order too."""
     if not 1 <= max_len <= 14:
         raise ValueError(f"max_len must be in [1, 14], got {max_len}")
-    top = float("inf") if max_trace is None else max_trace
+    top = float("inf")
+    if max_trace is not None:
+        # every class of word length n <= 14 has |trace| >= 2n (checked over
+        # all of them in CI), so none longer than max_trace // 2 is under it
+        top, max_len = max_trace, min(max_len, max_trace // 2)
     by_len: list[list[tuple[str, int]]] = [[] for _ in range(max_len + 1)]
     stack = [(c, 1, *GEN_MAT[c.translate(_FROM_CODE)]) for c in reversed(_CODES)] if max_len > 1 else []
     while stack:

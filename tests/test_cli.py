@@ -225,6 +225,19 @@ def test_out_of_range_input_is_a_usage_error(capsys, argv):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("k", ["0", "-3"])
+def test_spectrum_refuses_k_below_1_before_searching(capsys, monkeypatch, k):
+    def no_search(*args):
+        raise AssertionError("the spectrum was computed")
+
+    monkeypatch.setattr("hypcross.cli.compute_spectrum", no_search)
+    code = main(["spectrum", "--max-word-len", "12", "--cap", "inf", "--k", k])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == f"hypcross spectrum: error: k_min must be >= 1, got {k}\n"
+
+
 @pytest.mark.parametrize(
     "argv, prefix",
     [

@@ -238,7 +238,8 @@ def test_validation_errors():
         PantsBoundary(-1.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         CurveClass(0, 1)
-    with pytest.raises(ValueError):
-        chebyshev_ratio(2, -0.5)
+    for l in (-0.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match=r"l must be finite and >= 0"):
+            chebyshev_ratio(2, l)
     with pytest.raises(ValueError):
         minimize_over_moduli(2, 3.0, 4)

@@ -5,7 +5,7 @@ import pytest
 import hypcross.spectrum as spectrum_module
 from hypcross.halfplane import length_from_trace
 from hypcross.selfint import _check_word, _interleaved_pairs, _linked_pairs, boundary_count, self_intersection_count
-from hypcross.spectrum import MAX_WORD_LEN, MethodDisagreement, _trace_ceiling, min_witness, reachable_word_length, spectrum
+from hypcross.spectrum import MAX_WORD_LEN, MethodDisagreement, _trace_ceiling, min_witness, spectrum
 from hypcross.tracer import tracer_count
 from hypcross.words import GEN_MAT, enumerate_classes, is_primitive, primitive_root, word_key, word_trace
 
@@ -142,16 +142,6 @@ def test_max_len_guard():
         spectrum(0, 5.0, 1)
 
 
-def test_reachable_word_length():
-    assert reachable_word_length(10, M2 + 1e-6) == 5
-    assert reachable_word_length(10, M2) == 5  # aab, trace 10, sits on the cap
-    assert reachable_word_length(10, math.nextafter(M2, 0.0)) == 4
-    assert reachable_word_length(3, M2) == 3
-    assert reachable_word_length(12, math.inf) == 12
-    assert reachable_word_length(12, math.nan) == 1
-    assert reachable_word_length(12, -1.0) == 1
-
-
 def test_trace_ceiling():
     assert _trace_ceiling(M2) == 10
     assert _trace_ceiling(math.nextafter(M2, 0.0)) == 9
@@ -202,7 +192,8 @@ def test_pruned_spectrum_matches_brute_filter(max_len, monkeypatch):
     unbitten = 2.0 * math.acosh(max_len + 1)
     for cap in caps:
         if unbitten < cap < math.inf:
-            assert reachable_word_length(max_len, cap) == max_len
+            # the search's depth, ceiling // 2, is at least max_len
+            assert _trace_ceiling(cap) // 2 >= max_len
             continue
         want = [w for w in classes if length[w] <= cap]
         assert [e.word for e in spectrum(max_len, cap, 1)] == want, (max_len, cap)

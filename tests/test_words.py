@@ -177,6 +177,18 @@ def test_trace_capped_search_is_the_filtered_search(max_len, ceiling):
     assert _classes(max_len, ceiling) == [(w, t) for w, t in _uncapped(max_len) if abs(t) <= ceiling]
 
 
+def test_trace_ceiling_bounds_the_search_depth():
+    # a ceiling T stops the search at word length T // 2: at T = 10 the
+    # longest classes are those of length 5 and trace 10, such as aaBaB; at
+    # T = 9 the search reaches length 4, whose least |trace| is 10
+    assert max(len(w) for w, _ in _classes(10, 10)) == 5
+    assert max(len(w) for w, _ in _classes(10, 9)) == 3
+    assert max(len(w) for w, _ in _classes(3, 10)) == 3
+    assert _classes(12, 2) == []
+    with pytest.raises(ValueError, match=r"max_len must be in \[1, 14\], got 15"):
+        _classes(15, 10)
+
+
 def test_enumerate_class_counts():
     lengths = [len(w) for w in enumerate_classes(11)]
     counts = [sum(1 for n in lengths if n <= k) for k in range(1, 12)]
@@ -186,11 +198,11 @@ def test_enumerate_class_counts():
 @pytest.fixture(scope="module")
 def guarded_traces():
     """|trace| of every class up to the longest word spectrum accepts."""
-    return {w: abs(word_trace(w)) for w in enumerate_classes(MAX_WORD_LEN)}
+    return {w: abs(t) for w, t in _classes(MAX_WORD_LEN)}
 
 
 def test_trace_at_least_twice_word_length(guarded_traces):
-    # spectrum enumerates only the word lengths n with 2*acosh(n) <= cap;
+    # _classes under a trace ceiling T searches only word lengths n <= T // 2;
     # raising MAX_WORD_LEN re-runs this check over the longer words
     assert len({len(w) for w in guarded_traces}) == MAX_WORD_LEN - 1
     assert all(t >= 2 * len(w) for w, t in guarded_traces.items())
