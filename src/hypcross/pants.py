@@ -86,8 +86,9 @@ def gamma_mn_length(P: PantsBoundary, C: CurveClass) -> float:
 
 MAX_WINDING = 80  # the oracle's range m + n <= MAX_WINDING bounds its build time and recursion depth
 
-# classes the trace memo keeps: a sweep of every class through length 12 peaks
-# near 123 MB with it (439 MB unbounded), and the oracle's a^m b^n fit in it
+# classes the trace memo keeps: a sweep of every class through length 12, as
+# pytest -m exhaustive runs, fills it and peaks near 123 MB with it (439 MB
+# unbounded); the oracle's a^m b^n fit in it
 TRACE_MEMO_SIZE = 8192
 
 _BASE_TRACES = {
@@ -143,10 +144,11 @@ def _class_trace(w: str) -> dict:
 def trace_polynomial(w: str) -> dict:
     """Trace polynomial of the word w, signed so that its constant term (the
     trace on the three-cusp sphere) is positive.  Every coefficient is then a
-    non-negative integer (tested through word length 8, and 12 in CI): |tr w|
-    grows with each boundary length, as Parlier proves ("Lengths of geodesics
-    on Riemann surfaces with boundary", 2005), and binary64 evaluation adds
-    positive terms only, with nothing lost to cancellation."""
+    non-negative integer (tested through word length 8, and 12 by pytest -m
+    exhaustive): |tr w| grows with each boundary length, as Parlier proves
+    ("Lengths of geodesics on Riemann surfaces with boundary", 2005), and
+    binary64 evaluation adds positive terms only, with nothing lost to
+    cancellation."""
     poly = _trace(w)
     sign = 1 if poly[(0, 0, 0)] > 0 else -1
     return {e: sign * c for e, c in poly.items()}

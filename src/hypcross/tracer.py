@@ -31,9 +31,9 @@ covers rounding.
 
 Validity range: tol in [1e-8, 1e-6], checked at 1e-8, 1e-7 and 1e-6 against
 the exact count on all 12,741 primitive classes through word length 11, and
-at 1e-8 on all 22,110 of length 12; tracer_count refuses any other tol.  The
-word checks are selfint._check_word, which builds the integer word matrix
-that the tracer reads as floats.
+at 1e-8 on all 22,110 of length 12 (pytest -m exhaustive); tracer_count
+refuses any other tol.  The word checks are selfint._check_word, which builds
+the integer word matrix that the tracer reads as floats.
 """
 
 from __future__ import annotations

@@ -169,7 +169,8 @@ def _classes(max_len: int, max_trace: int | None = None) -> list[tuple[str, int]
     top = float("inf")
     if max_trace is not None:
         # every class of word length n <= 14 has |trace| >= 2n (checked over
-        # all of them in CI), so none longer than max_trace // 2 is under it
+        # all of them by pytest -m exhaustive), so none longer than
+        # max_trace // 2 is under it
         top, max_len = max_trace, min(max_len, max_trace // 2)
     by_len: list[list[tuple[str, int]]] = [[] for _ in range(max_len + 1)]
     stack = [(c, 1, *GEN_MAT[c.translate(_FROM_CODE)]) for c in reversed(_CODES)] if max_len > 1 else []

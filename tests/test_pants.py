@@ -1,4 +1,5 @@
 import math
+import resource
 
 import numpy as np
 import pytest
@@ -58,14 +59,22 @@ def test_length_regression_generic_pants():
     assert abs(got - 9.044970553538548) < 1e-9
 
 
-def test_trace_polynomial_nonnegative_with_the_cusp_trace_as_constant():
-    # the no-cancellation premise of the oracle, on every class through length 8
-    classes = enumerate_classes(8)
-    assert len(classes) == 673
+@pytest.mark.parametrize("max_len, count", [(8, 673), pytest.param(12, 34968, marks=pytest.mark.exhaustive)])
+def test_trace_polynomial_nonnegative_with_the_cusp_trace_as_constant(max_len, count):
+    # the no-cancellation premise of the oracle, on every class through max_len
+    classes = enumerate_classes(max_len)
+    assert len(classes) == count
     for w in classes:
         poly = trace_polynomial(w)
         assert all(type(c) is int and c >= 0 for c in poly.values()), w
         assert poly[(0, 0, 0)] == abs(word_trace(w)), w
+    if count > pants.TRACE_MEMO_SIZE:
+        # the sweep filled the memo, which held at its bound.  The peak RSS,
+        # printed for pytest -rP, is the pytest process's peak, not the memo's
+        # (the sweep alone peaks near 123 MB)
+        memo = pants._class_trace.cache_info()
+        assert memo.currsize == memo.maxsize == pants.TRACE_MEMO_SIZE, memo
+        print(f"peak RSS {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.0f} MB")  # KiB on Linux
 
 
 def test_trace_polynomials_survive_a_cleared_memo():

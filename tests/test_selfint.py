@@ -5,7 +5,9 @@ from pathlib import Path
 import pytest
 
 from hypcross.selfint import _AROUND, _BEFORE, NotPrimitiveWord, boundary_count, self_intersection_count
-from hypcross.words import INVERSE, LETTERS, enumerate_classes, is_primitive, mirror_word, rotations, word_trace
+from hypcross.words import enumerate_classes, is_primitive, mirror_word, rotations, word_trace
+from test_tracer import _TOLERANCE_EDGE
+from test_words import _random_primitive_word
 
 
 def test_figure_eight():
@@ -55,16 +57,19 @@ def test_input_validation():
         self_intersection_count("aB")  # parabolic
 
 
-def test_most_crossed_class_by_length():
-    # the largest exact count of a primitive class of each length 2..10; at
-    # odd lengths it is (L^2 - 1)/4, the Chas-Phillips maximum for the doubly
-    # punctured plane (no formula is claimed for even lengths)
+@pytest.mark.parametrize("max_len, primitive", [(10, 4689), pytest.param(14, 266913, marks=pytest.mark.exhaustive)])
+def test_most_crossed_class_by_length(max_len, primitive):
+    # the largest exact count of a primitive class of each length 2..max_len;
+    # at odd lengths it is (L^2 - 1)/4, the Chas-Phillips maximum for the
+    # doubly punctured plane (no formula is claimed for even lengths)
+    classes = [w for w in enumerate_classes(max_len) if is_primitive(w)]
+    assert len(classes) == primitive
     most: dict[int, int] = {}
-    for w in enumerate_classes(10):
-        if is_primitive(w):
-            most[len(w)] = max(most.get(len(w), 0), self_intersection_count(w))
-    assert [most[n] for n in range(2, 11)] == [1, 2, 3, 6, 7, 12, 15, 20, 23]
-    assert all(most[n] == (n * n - 1) // 4 for n in range(3, 11, 2))
+    for w in classes:
+        most[len(w)] = max(most.get(len(w), 0), self_intersection_count(w))
+    table = [1, 2, 3, 6, 7, 12, 15, 20, 23, 30, 35, 42, 47]
+    assert [most[n] for n in range(2, max_len + 1)] == table[: max_len - 1]
+    assert all(most[n] == (n * n - 1) // 4 for n in range(3, max_len + 1, 2))
 
 
 def test_exact_count_matches_benchmark_reference():
@@ -82,30 +87,17 @@ def test_near_cusp_family(k):
     assert self_intersection_count("a" + "ab" * k) == k * (k + 1)
 
 
-_TRACER_EDGE = ["aaaabbaBabbb", "aaaabbbaBabb", "aaabbbbaabAb", "aaabAbaabbbb", "aababababAAB",
-                 "aabAABABABAB", "ababababbABB", "abababaBBAbb", "abaBABBabABB", "abaBBAbaBBAB"]
-
-
-def _random_primitive_word(rng: random.Random, n: int) -> str:
-    """A uniformly drawn reduced word of length n, redrawn until it is
-    cyclically reduced and primitive (hence hyperbolic for n >= 3)."""
-    while True:
-        w = rng.choice(LETTERS)
-        while len(w) < n:
-            w += rng.choice([ch for ch in LETTERS if ch != INVERSE[w[-1]]])
-        if w[0] != INVERSE[w[-1]] and is_primitive(w):
-            return w
-
-
-def test_boundary_count_matches_exact_count_through_length_twelve():
-    # every primitive class through length 8, a seeded sample of words of
+@pytest.mark.parametrize("max_len, primitive", [(8, 657), pytest.param(12, 34851, marks=pytest.mark.exhaustive)])
+def test_boundary_count_matches_exact_count_through_length_twelve(max_len, primitive):
+    # every primitive class through max_len, a seeded sample of words of
     # lengths 9 to 12, and the length-12 classes where the default tracer
-    # fails (tests/test_tracer.py); CI checks all 34,851 classes through
-    # length 12
-    words = [w for w in enumerate_classes(8) if is_primitive(w)]
+    # fails (tests/test_tracer.py); pytest -m exhaustive checks all 34,851
+    # classes through length 12
+    words = [w for w in enumerate_classes(max_len) if is_primitive(w)]
+    assert len(words) == primitive
     rng = random.Random(11)
     words += [_random_primitive_word(rng, n) for n in range(9, 13) for _ in range(60)]
-    words += _TRACER_EDGE
+    words += _TOLERANCE_EDGE
     for w in words:
         assert boundary_count(w) == self_intersection_count(w), w
 

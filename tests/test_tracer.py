@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from math import comb
@@ -9,9 +10,9 @@ from hypothesis import strategies as st
 from hypcross import selfint, spectrum, tracer
 from hypcross.halfplane import complex_dist
 from hypcross.selfint import self_intersection_count
-from hypcross.tracer import TracerError, _arc, _line_through, _near_lines, _screen, tracer_count
+from hypcross.tracer import TRACER_TOL, TracerError, _arc, _line_through, _near_lines, _screen, tracer_count
 from hypcross.words import enumerate_classes, is_primitive, mirror_word, primitive_root
-from test_selfint import _random_primitive_word
+from test_words import _random_primitive_word
 
 
 def test_figure_eight():
@@ -52,11 +53,17 @@ def test_tracer_tolerance_range_ends(tol):
     assert tracer_count("aab", tol) == 2
 
 
-def test_methods_agree_through_length_eight():
-    for w in enumerate_classes(8):
+@pytest.mark.parametrize(
+    "max_len, tol",
+    [(8, TRACER_TOL), pytest.param(11, 1e-7, marks=pytest.mark.exhaustive),
+     pytest.param(11, 1e-8, marks=pytest.mark.exhaustive)],
+)
+def test_methods_agree_through_length(max_len, tol):
+    # test_tracer_table_through_length_twelve runs the default tol through length 11
+    for w in enumerate_classes(max_len):
         if not is_primitive(w):
             continue
-        assert self_intersection_count(w) == tracer_count(w), w
+        assert self_intersection_count(w) == tracer_count(w, tol), w
 
 
 def test_power_counts_frozen():
@@ -99,6 +106,32 @@ def test_tracer_at_the_tolerance_edge():
         else:
             assert tracer_count(w, 1e-6) == coarse, w
         assert tracer_count(w, 1e-8) == fine == self_intersection_count(w), w
+
+
+@pytest.mark.exhaustive
+def test_tracer_table_through_length_twelve():
+    # the tracer on every primitive class through length 12, at the default
+    # tol through length 11 and at both ends of the range on length 12: it
+    # gives the exact count, except exactly on the _TOLERANCE_EDGE classes at
+    # the default tol.  The sha256 of f"{w}:{tol}:{r};" over every call, in
+    # this order, r the count or the exception's name, pins the whole table
+    classes = [w for w in enumerate_classes(12) if is_primitive(w)]
+    short = [w for w in classes if len(w) <= 11]
+    long = [w for w in classes if len(w) == 12]
+    assert (len(short), len(long)) == (12741, 22110)
+    exact = {w: self_intersection_count(w) for w in classes}
+    table, off = hashlib.sha256(), {}
+    for tol, words in ((None, short), (1e-8, long), (None, long)):
+        for w in words:
+            try:
+                tr = tracer_count(w) if tol is None else tracer_count(w, tol)
+            except Exception as e:
+                tr = type(e).__name__
+            table.update(f"{w}:{tol}:{tr};".encode())
+            if tr != exact[w]:
+                off[w, tol] = tr
+    assert off == {(w, None): getattr(coarse, "__name__", coarse) for w, (coarse, _) in _TOLERANCE_EDGE.items()}
+    assert table.hexdigest() == "cb7ac18877ab73812fb980bb29233493c404abe08ffd94030a330a30c9e49e52"
 
 
 @settings(max_examples=300, deadline=None)

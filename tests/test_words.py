@@ -1,4 +1,5 @@
 import gc
+import random
 from functools import cache
 from itertools import product
 
@@ -33,6 +34,17 @@ letters = st.text(alphabet="abAB", min_size=1, max_size=10)
 
 # every string over LETTERS through length 6, reduced or not, the empty one first
 ALL_STRINGS = ["".join(p) for n in range(7) for p in product(LETTERS, repeat=n)]
+
+
+def _random_primitive_word(rng: random.Random, n: int) -> str:
+    """A uniformly drawn reduced word of length n, redrawn until it is
+    cyclically reduced and primitive (hence hyperbolic for n >= 3)."""
+    while True:
+        w = rng.choice(LETTERS)
+        while len(w) < n:
+            w += rng.choice([ch for ch in LETTERS if ch != INVERSE[w[-1]]])
+        if w[0] != INVERSE[w[-1]] and is_primitive(w):
+            return w
 
 
 def test_free_reduce():
@@ -153,9 +165,10 @@ def test_enumerate_matches_brute_force(max_len):
     assert enumerate_classes(max_len) == brute_force_classes(max_len)
 
 
-def test_classes_carry_their_traces():
-    got = _classes(10)
-    assert [w for w, _ in got] == enumerate_classes(10)
+@pytest.mark.parametrize("max_len", [10, pytest.param(14, marks=pytest.mark.exhaustive)])
+def test_classes_carry_their_traces(max_len):
+    got = _classes(max_len)
+    assert [w for w, _ in got] == enumerate_classes(max_len)
     assert all(t == word_trace(w) for w, t in got)
 
 
@@ -169,11 +182,16 @@ def _uncapped(max_len):
     return _classes(max_len)
 
 
-@pytest.mark.parametrize("ceiling", [2, 3, 5, 6, 10, 14, 26, 50])
-@pytest.mark.parametrize("max_len", range(1, 11))
+@pytest.mark.parametrize(
+    "max_len, ceiling",
+    [(n, T) for n in range(1, 11) for T in (2, 3, 5, 6, 10, 14, 26, 50)]
+    + [pytest.param(12, T, marks=pytest.mark.exhaustive) for T in range(2, 29)],
+)
 def test_trace_capped_search_is_the_filtered_search(max_len, ceiling):
     # the search tests each child when its parent makes it and pushes only
-    # those shorter than max_len: lengths 1 and 2 push nothing past the roots
+    # those shorter than max_len: lengths 1 and 2 push nothing past the roots;
+    # the ceilings 2 to 28 at length 12 cover each length cap through
+    # 2*acosh(14)
     assert _classes(max_len, ceiling) == [(w, t) for w, t in _uncapped(max_len) if abs(t) <= ceiling]
 
 
@@ -189,32 +207,41 @@ def test_trace_ceiling_bounds_the_search_depth():
         _classes(15, 10)
 
 
-def test_enumerate_class_counts():
-    lengths = [len(w) for w in enumerate_classes(11)]
-    counts = [sum(1 for n in lengths if n <= k) for k in range(1, 12)]
-    assert counts == [0, 1, 5, 15, 39, 102, 258, 673, 1769, 4734, 12786]
+# the number of classes through word length 1, 2, ..., 14
+_CLASS_COUNTS = [0, 1, 5, 15, 39, 102, 258, 673, 1769, 4734, 12786, 34968, 96288, 267187]
 
 
-@pytest.fixture(scope="module")
-def guarded_traces():
-    """|trace| of every class up to the longest word spectrum accepts."""
-    return {w: abs(t) for w, t in _classes(MAX_WORD_LEN)}
+@pytest.mark.parametrize("max_len", [11, pytest.param(14, marks=pytest.mark.exhaustive)])
+def test_enumerate_class_counts(max_len):
+    lengths = [len(w) for w in enumerate_classes(max_len)]
+    counts = [sum(1 for n in lengths if n <= k) for k in range(1, max_len + 1)]
+    assert counts == _CLASS_COUNTS[:max_len]
+
+
+@pytest.fixture(scope="module", params=[MAX_WORD_LEN, pytest.param(14, marks=pytest.mark.exhaustive)])
+def guarded_traces(request):
+    """The word length and |trace| of every class up to it: the longest word
+    spectrum accepts, and the longest _classes accepts (pytest -m exhaustive)."""
+    return request.param, {w: abs(t) for w, t in _classes(request.param)}
 
 
 def test_trace_at_least_twice_word_length(guarded_traces):
-    # _classes under a trace ceiling T searches only word lengths n <= T // 2;
-    # raising MAX_WORD_LEN re-runs this check over the longer words
-    assert len({len(w) for w in guarded_traces}) == MAX_WORD_LEN - 1
-    assert all(t >= 2 * len(w) for w, t in guarded_traces.items())
+    # _classes under a trace ceiling T searches only word lengths n <= T // 2,
+    # which pytest -m exhaustive checks through length 14
+    max_len, traces = guarded_traces
+    assert len(traces) == _CLASS_COUNTS[max_len - 1]
+    assert all(t >= 2 * len(w) for w, t in traces.items())
 
 
 def test_least_trace_by_word_length(guarded_traces):
+    max_len, traces = guarded_traces
     least = {}
-    for w, t in guarded_traces.items():
+    for w, t in traces.items():
         least[len(w)] = min(least.get(len(w), t), t)
-    # odd lengths attain 2n, at a(aB)^k
-    assert [least[n] for n in range(2, 13)] == [6, 6, 10, 10, 18, 14, 26, 18, 34, 22, 42]
-    for k in range(1, 6):
+    # from length 3 on, odd lengths attain 2n, at a(aB)^k, and even lengths 4n - 6
+    table = [6, 6, 10, 10, 18, 14, 26, 18, 34, 22, 42, 26, 50]
+    assert [least[n] for n in range(2, max_len + 1)] == table[: max_len - 1]
+    for k in range(1, (max_len + 1) // 2):
         w = "a" + "aB" * k
         assert abs(word_trace(w)) == 2 * len(w) == least[len(w)]
 
